@@ -8,6 +8,10 @@ sequence-continuity experiment.
 Everything here takes float-backend ring values; internal numerics run on
 the raw arrays with the spectral norm, which makes one-sided multiplication
 operators carry exactly the norm of their multiplier.
+
+scipy is imported inside the two functions that use it
+(integral_representation and choose_beta), so that importing bcinv does
+not load it: scipy takes several times longer to import than numpy.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.linalg import expm
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BcinvError,
@@ -86,6 +87,9 @@ def integral_representation(a: RingValue, v: RingValue, tol: float = 1e-10,
     integrand exp(-(v a)t)*v is evaluated with the same panels and must
     agree, which guards the quadrature itself.
     """
+    from numpy.polynomial.legendre import leggauss
+    from scipy.linalg import expm
+
     _require_float(a, v)
     ring = a.ring
     vP = v.payload
@@ -197,6 +201,8 @@ def series_representation(a: RingValue, v: RingValue, beta: float,
 
 def choose_beta(a: RingValue, v: RingValue) -> float:
     """Real coefficient minimizing |p - beta v a|; fails if the minimum is >= 1."""
+    from scipy.optimize import minimize_scalar
+
     _require_float(a, v)
     ring = a.ring
     va = v.payload @ a.payload

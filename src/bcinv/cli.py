@@ -96,7 +96,10 @@ def parse_ring(text: str, tol: float | None = None) -> RingDescriptor:
     if kind == "Q" and len(parts) == 2:
         return RingDescriptor.rational_matrices(int(parts[1]))
     if kind == "R" and len(parts) in (2, 3):
-        ring_tol = float(parts[2]) if len(parts) == 3 else (tol or default_tolerance())
+        if len(parts) == 3:
+            ring_tol = float(parts[2])
+        else:
+            ring_tol = tol if tol is not None else default_tolerance()
         return RingDescriptor.float_matrices(int(parts[1]), tol=ring_tol)
     raise ValueError(f"unrecognized ring literal {text!r}")
 
@@ -303,7 +306,9 @@ def _run_continuity(job: JobSpec, report: dict) -> int:
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     term, limit = _FAMILIES[family]
-    count = job.count or 1000
+    count = 1000 if job.count is None else job.count
+    if count < 1:
+        raise ValueError(f"continuity count must be at least 1, not {count}")
     e11 = ring.unit_matrix(0, 0)
     frame = CornerFrame.from_idempotents(e11, e11)
     indices = sorted({int(round(v)) for v in np.geomspace(1, count, num=min(count, 40))})

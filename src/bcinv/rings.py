@@ -129,7 +129,8 @@ class RingDescriptor:
     def element(self, data) -> "RingValue":
         if isinstance(data, RingValue):
             if data.ring != self:
-                raise RingMismatch(f"value from {data.ring.name} used in {self.name}")
+                theirs, ours = _distinct_names(data.ring, self)
+                raise RingMismatch(f"value from {theirs} used in {ours}")
             return data
         if self.kind == MODULAR:
             if isinstance(data, (np.ndarray, list, tuple)):
@@ -194,6 +195,13 @@ class RingDescriptor:
             raise CapExceeded(f"{self.name} cannot be enumerated")
 
 
+def _distinct_names(first: RingDescriptor, second: RingDescriptor) -> tuple[str, str]:
+    """Names of two different rings, with tolerances added when the names agree."""
+    if first.name != second.name:
+        return first.name, second.name
+    return tuple(f"{r.name} (tol {r.tol:g}, rank_tol {r.rank_tol:g})" for r in (first, second))
+
+
 class RingValue:
     """Immutable element of one concrete ring."""
 
@@ -208,8 +216,8 @@ class RingValue:
     def _coerce(self, other) -> "RingValue":
         if isinstance(other, RingValue):
             if other.ring != self.ring:
-                raise RingMismatch(
-                    f"mixed rings {self.ring.name} and {other.ring.name}")
+                ours, theirs = _distinct_names(self.ring, other.ring)
+                raise RingMismatch(f"mixed rings {ours} and {theirs}")
             return other
         if isinstance(other, int) or (
                 self.ring.kind == FLOAT_MATRIX and isinstance(other, float)):
@@ -326,7 +334,8 @@ class RingValue:
 def values_equal(x: RingValue, y: RingValue, tol: float | None = None) -> bool:
     """Backend equality; normwise relative with an absolute floor on floats."""
     if x.ring != y.ring:
-        raise RingMismatch("cannot compare values from different rings")
+        first, second = _distinct_names(x.ring, y.ring)
+        raise RingMismatch(f"cannot compare values from {first} and {second}")
     if x.ring.kind == MODULAR:
         return x.payload == y.payload
     if x.ring.kind in (PRIME_MATRIX, RATIONAL_MATRIX):

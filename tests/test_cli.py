@@ -1,10 +1,15 @@
 """Command-line surface: parsing, exit codes, reports, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcinv
 from bcinv.cli import (
     JobSpec,
     STATUS_INVALID,
@@ -121,6 +126,61 @@ def test_continuity_command():
     status, report = run(job)
     assert status == STATUS_OK
     assert report["outputs"]["classification"] == "divergent"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9"])
+def test_nonpositive_tol_flag_is_status_2(capsys, tol):
+    rc = main(["compute", "--ring", "R:2", f"--tol={tol}",
+               "--a", "[[2,0],[0,3]]", "--b", "E11", "--c", "E11"])
+    assert rc == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostic"]["error"] == "ValueError"
+    assert "positive tolerance" in out["diagnostic"]["message"]
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_nonpositive_count_is_status_2(capsys, count):
+    rc = main(["continuity", "--ring", "R:2", f"--count={count}"])
+    assert rc == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostic"]["error"] == "ValueError"
+    assert "count must be at least 1" in out["diagnostic"]["message"]
+
+
+_SCIPY_PROBE = """
+import json, sys
+import bcinv
+from bcinv.cli import main
+report = sys.argv[1]
+frame = ["--b", "E11", "--c", "E11"]
+statuses = [
+    main(["compute", "--ring", "Z6", "--a", "5", "--b", "4", "--c", "4",
+          "--report", report]),
+    main(["banach", "--ring", "R:2", "--method", "limit", "--lambda0", "0.1",
+          "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
+    main(["continuity", "--ring", "R:2", "--count", "50", "--report", report]),
+]
+before = "scipy" in sys.modules
+integral = main(["banach", "--ring", "R:2", "--method", "integral",
+                 "--a", "[[2,0],[0,3]]", *frame, "--report", report])
+print(json.dumps({"statuses": statuses, "scipy_before": before,
+                  "integral": integral, "scipy_after": "scipy" in sys.modules}))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_jobs_that_use_it(tmp_path):
+    # A fresh interpreter: this one has scipy loaded already.
+    src = str(Path(bcinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path / "r.json")],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["statuses"] == [STATUS_OK] * 3
+    assert result["scipy_before"] is False
+    assert result["integral"] == STATUS_OK
+    assert result["scipy_after"] is True
 
 
 def test_report_round_trip(tmp_path):

@@ -61,6 +61,20 @@ def test_ring_mismatch_and_shape_errors():
         R2.element(np.eye(3))
 
 
+def test_ring_mismatch_names_tolerances_when_names_agree():
+    fine = RingDescriptor.float_matrices(2, tol=1e-9)
+    coarse = RingDescriptor.float_matrices(2, tol=1e-7)
+    assert fine.name == coarse.name == "R:2"
+    with pytest.raises(RingMismatch, match=r"R:2 \(tol 1e-09.*R:2 \(tol 1e-07"):
+        fine.one() + coarse.one()
+    with pytest.raises(RingMismatch, match=r"R:2 \(tol 1e-09.*R:2 \(tol 1e-07"):
+        coarse.element(fine.one())
+    with pytest.raises(RingMismatch, match=r"R:2 \(tol 1e-09.*R:2 \(tol 1e-07"):
+        values_equal(fine.one(), coarse.one())
+    with pytest.raises(RingMismatch, match=r"^mixed rings Zn:6 and Zn:12$"):
+        Z6.element(1) + Z12.element(1)
+
+
 def test_idempotents_and_units():
     # 4*4 = 16 = 4 mod 6
     assert is_idempotent(Z6.element(4))
