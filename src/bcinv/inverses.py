@@ -17,7 +17,8 @@ from .errors import (
     CapExceeded,
     DimensionMismatch,
     InverseAbsent,
-        PreconditionFailed,
+    NotRegular,
+    PreconditionFailed,
     RingMismatch,
     SingularCorner,
 )
@@ -156,27 +157,21 @@ def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue,
     return BcCertificate(y, membership, left_eq, right_eq, outer, verdict)
 
 
-def _default_method(ring: RingDescriptor) -> str:
-    if ring.kind == FLOAT_MATRIX:
-        return "factor"
-    if ring.is_finite:
-        return "exhaustive" if ring.size <= ENUM_CAP else "corner"
-    return "corner"
-
-
 def bc_inverse(a: RingValue, frame: CornerFrame, method: str | None = None,
                vtol: float | None = None) -> RingValue:
     """The unique y with verify_bc_inverse(a, frame, y) true.
 
-    method: corner (solve the two corner equations for z = b*w*c),
-    factor (rank factorizations of b and c with an invertible core),
-    group (v times the group inverse of a*v), exhaustive (finite scan).
-    All methods agree whenever the inverse exists.
+    method: factor (rank factorizations of b and c with an invertible
+    core; the default on matrix backends), group (v times the group
+    inverse of a*v; the default on Zn, where v = p), corner (solve the two
+    corner equations for z = b*w*c) or exhaustive (finite scan).  corner
+    and exhaustive are cross-checks.  All methods agree whenever the
+    inverse exists.
     """
     if a.ring != frame.ring:
         raise RingMismatch("element and frame live in different rings")
     if method is None:
-        method = _default_method(a.ring)
+        method = "factor" if a.ring.is_matrix else "group"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "factor":
@@ -259,10 +254,20 @@ def _bc_exhaustive(a: RingValue, frame: CornerFrame, vtol=None) -> RingValue:
 
 
 def build_v(frame: CornerFrame) -> RingValue:
-    """Carrier v with column space of b and right null space of c."""
+    """Carrier v with vR = bR and Rv = Rc, so that y = v*(a*v)^#.
+
+    Matrix backends take v = B @ Cr: the column space of b and the right
+    null space of c.  Zn is commutative, so an inverse y gives
+    bR = yR = Ry = Rc (y is in bRy and yRc, b = y*a*b, c = c*a*y), hence
+    pR = qR for p = b*g and q = h*c.  Idempotents with pR = qR satisfy
+    q*p = p and p*q = q, so p = q; then v = p, and frames with p != q
+    have no inverse.
+    """
     ring = frame.ring
     if not ring.is_matrix:
-        raise PreconditionFailed("the carrier construction needs a matrix backend")
+        if frame.p != frame.q:
+            raise InverseAbsent("p differs from q: no carrier exists")
+        return frame.p
     B, _ = rank_factorization(frame.b)
     _, Cr = rank_factorization(frame.c)
     if B.shape[1] != Cr.shape[0]:
@@ -271,7 +276,12 @@ def build_v(frame: CornerFrame) -> RingValue:
 
 
 def group_inverse(x: RingValue) -> RingValue:
-    """The commuting inner-outer inverse of x, when it exists."""
+    """The commuting inner-outer inverse of x, when it exists.
+
+    On Zn, for any inner inverse g of x, y = x*g*g commutes with x and
+    x*y*x = (x*g*x)*g*x = x, y*x*y = (x*x*x*g*g)*g*g = x*g*g = y.  A group
+    inverse is an inner inverse, so it exists iff x is regular.
+    """
     ring = x.ring
     if ring.is_matrix:
         F, G = rank_factorization(x)
@@ -283,12 +293,11 @@ def group_inverse(x: RingValue) -> RingValue:
             raise InverseAbsent("rank(x*x) < rank(x): no group inverse")
         out = mat_mul(ring, mat_mul(ring, F, mat_mul(ring, core_inv, core_inv)), G)
         return ring.element(out)
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        for y in ring.elements():
-            if x * y * x == x and y * x * y == y and x * y == y * x:
-                return y
-        raise InverseAbsent("no group inverse in the finite ring")
-    raise CapExceeded(f"{ring.name} supports no group-inverse search")
+    try:
+        g = canonical_inner_inverse(x)
+    except NotRegular as exc:
+        raise InverseAbsent("no group inverse in the finite ring") from exc
+    return x * g * g
 
 
 def bott_duffin_inverse(a: RingValue, p: RingValue, q: RingValue,
@@ -300,53 +309,44 @@ def bott_duffin_inverse(a: RingValue, p: RingValue, q: RingValue,
 
 def hybrid_inverse(a: RingValue, b: RingValue, c: RingValue) -> RingValue:
     """Unique outer inverse y with yR = bR and y^{-1}(0) = c^{-1}(0)."""
-    ring = a.ring
-    if b.ring != ring or c.ring != ring:
-        raise RingMismatch("operands live in different rings")
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        b_image = ideal(b, "image-right")
-        c_kernel = ideal(c, "kernel-right")
-        for y in ring.elements():
-            if (y * a * y == y and ideal(y, "image-right") == b_image
-                    and ideal(y, "kernel-right") == c_kernel):
-                return y
-        raise InverseAbsent("no outer inverse matches the image/kernel pair")
-    T = np.asarray(ideal(b, "image-right").basis)
-    S = np.asarray(ideal(c, "kernel-right").basis)
-    try:
-        y = ats_outer_inverse(a, T, S)
-    except DimensionMismatch as exc:
-        raise InverseAbsent(str(exc)) from exc
-    if not (ideal(y, "image-right") == ideal(b, "image-right")
-            and ideal(y, "kernel-right") == ideal(c, "kernel-right")):
-        raise InverseAbsent("constructed inverse misses the prescribed ideals")
-    return y
+    return _outer_inverse_matching(a, b, c, "image-right")
 
 
 def annihilator_inverse(a: RingValue, b: RingValue, c: RingValue) -> RingValue:
     """Unique outer inverse y with y_{-1}(0) = b_{-1}(0), y^{-1}(0) = c^{-1}(0)."""
+    return _outer_inverse_matching(a, b, c, "kernel-left")
+
+
+def _outer_inverse_matching(a: RingValue, b: RingValue, c: RingValue,
+                            b_side: str) -> RingValue:
+    """Outer inverse y of a whose b_side ideal is b's and whose right kernel is c's.
+
+    Zn searches the ring.  Over a field the image and the left annihilator
+    of b both pin the column space of y to that of b, so the
+    prescribed-subspace construction applies to either side.
+    """
     ring = a.ring
     if b.ring != ring or c.ring != ring:
         raise RingMismatch("operands live in different rings")
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        b_lkernel = ideal(b, "kernel-left")
-        c_kernel = ideal(c, "kernel-right")
+    b_ideal = ideal(b, b_side)
+    c_kernel = ideal(c, "kernel-right")
+
+    def matches(y: RingValue) -> bool:
+        return ideal(y, b_side) == b_ideal and ideal(y, "kernel-right") == c_kernel
+
+    if not ring.is_matrix:
+        if ring.size > ENUM_CAP:
+            raise CapExceeded(f"{ring.name} exceeds the enumeration cap")
         for y in ring.elements():
-            if (y * a * y == y and ideal(y, "kernel-left") == b_lkernel
-                    and ideal(y, "kernel-right") == c_kernel):
+            if y * a * y == y and matches(y):
                 return y
-        raise InverseAbsent("no outer inverse matches the annihilator pair")
-    # Over a field the left-annihilator condition pins the column space to
-    # that of b, so the prescribed-subspace construction applies verbatim.
-    T = np.asarray(ideal(b, "image-right").basis)
-    S = np.asarray(ideal(c, "kernel-right").basis)
+        raise InverseAbsent(f"no outer inverse matches the {b_side} and kernel-right ideals")
     try:
-        y = ats_outer_inverse(a, T, S)
+        y = ats_outer_inverse(a, ideal(b, "image-right").basis, c_kernel.basis)
     except DimensionMismatch as exc:
         raise InverseAbsent(str(exc)) from exc
-    if not (ideal(y, "kernel-left") == ideal(b, "kernel-left")
-            and ideal(y, "kernel-right") == ideal(c, "kernel-right")):
-        raise InverseAbsent("constructed inverse misses the annihilator ideals")
+    if not matches(y):
+        raise InverseAbsent("constructed inverse misses the prescribed ideals")
     return y
 
 

@@ -39,7 +39,7 @@ DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 
 # Full enumeration (inner-inverse sets, exhaustive inverse search) is only
-# attempted below this ring size.
+# attempted below this ring size; it also bounds the element sets of Zn ideals.
 ENUM_CAP = 65536
 
 _IDEAL_SIDES = ("image-right", "image-left", "kernel-right", "kernel-left")
@@ -146,7 +146,6 @@ class RingDescriptor:
             return self.element(value)
         if self.kind == RATIONAL_MATRIX:
             value = Fraction(value)
-        eye = np.eye(self.k)
         return RingValue(self, self._payload(np.asarray(
             [[value if i == j else 0 * value for j in range(self.k)] for i in range(self.k)],
             dtype=object if self.kind == RATIONAL_MATRIX else None)))
@@ -158,10 +157,10 @@ class RingDescriptor:
         if self.kind == PRIME_MATRIX:
             out = np.asarray(arr, dtype=np.int64) % self.p
         elif self.kind == RATIONAL_MATRIX:
-            out = np.empty((self.k, self.k), dtype=object)
-            for i in range(self.k):
-                for j in range(self.k):
-                    out[i, j] = Fraction(arr[i, j])
+            # tolist() yields Python ints, so no numpy int64 (which overflows
+            # silently in elimination) ends up inside a Fraction.
+            out = np.array([[Fraction(v) for v in row] for row in arr.tolist()],
+                           dtype=object)
         else:
             out = np.asarray(arr, dtype=np.float64).copy()
         out.setflags(write=False)
@@ -347,19 +346,6 @@ def values_equal(x: RingValue, y: RingValue, tol: float | None = None) -> bool:
     return bool(diff <= tol * scale)
 
 
-def ring_arith(x: RingValue, y: RingValue, op: str):
-    """Basic arithmetic dispatch: add | mul | neg | eq."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "eq":
-        return x == y
-    raise ValueError(f"unknown op {op!r}")
-
-
 def is_idempotent(x: RingValue) -> bool:
     return x * x == x
 
@@ -436,6 +422,11 @@ def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
         r = _float_rank(ring, arr)
         return vh[r:].T.copy()
+    if arr.shape[0] == 0:
+        # No equations: every vector solves them.  (The list kernel cannot
+        # see the column count of a matrix without rows.)
+        n = arr.shape[1]
+        return _from_lists(ring, xla.identity(_field(ring), n), shape=(n, n))
     vecs = xla.null_space(_field(ring), _to_lists(arr))
     if not vecs:
         dtype = object if ring.kind == RATIONAL_MATRIX else np.int64
@@ -570,18 +561,21 @@ def inner_inverses(b: RingValue, cap: int = ENUM_CAP) -> list[RingValue]:
 def canonical_inner_inverse(b: RingValue) -> RingValue:
     """Deterministic inner inverse.
 
-    Finite backends take the first match in enumeration order; matrix
-    backends combine a right inverse of C with a left inverse of B from
-    the rank factorization b = B @ C.
+    On Zn let d = gcd(b, n).  Since b/d is prime to n/d,
+
+        b*g*b = b (mod n)  iff  n | b*(g*b - 1)  iff  n/d | g*b - 1,
+
+    so b is regular iff gcd(b, n/d) = 1, and its inner inverses are the
+    g congruent to b^{-1} modulo n/d.  The least of them, pow(b, -1, n/d),
+    is returned.  Matrix backends combine a right inverse of C with a left
+    inverse of B from the rank factorization b = B @ C.
     """
     ring = b.ring
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        for g in ring.elements():
-            if b * g * b == b:
-                return g
-        raise NotRegular(f"{b!r} has no inner inverse")
-    if not ring.is_matrix:
-        raise CapExceeded(f"{ring.name} too large for inner-inverse search")
+    if ring.kind == MODULAR:
+        m = ring.n // math.gcd(b.payload, ring.n)
+        if math.gcd(b.payload, m) != 1:
+            raise NotRegular(f"{b!r} has no inner inverse")
+        return RingValue(ring, pow(b.payload, -1, m))
     if ring.kind == FLOAT_MATRIX:
         arr = np.asarray(b.payload, dtype=float)
         u, s, vh = np.linalg.svd(arr)
@@ -613,9 +607,9 @@ def normalized_inner_inverse(b: RingValue, w: RingValue) -> RingValue:
 class Ideal:
     """One image or kernel ideal of a fixed element.
 
-    Finite backends store the explicit element set; matrix backends store a
-    basis of the subspace that characterizes membership (column space, row
-    space, right null space or left null space).
+    Zn stores the explicit element set; matrix backends store a basis of
+    the subspace that characterizes membership (column space, row space,
+    right null space or left null space).
     """
 
     def __init__(self, ring: RingDescriptor, side: str,
@@ -680,18 +674,15 @@ def ideal(x: RingValue, side: str) -> Ideal:
     ring = x.ring
     if side not in _IDEAL_SIDES:
         raise ValueError(f"unknown ideal side {side!r}")
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        if side == "image-right":
-            elems = {(x * m).key() for m in ring.elements()}
-        elif side == "image-left":
-            elems = {(m * x).key() for m in ring.elements()}
-        elif side == "kernel-right":
-            elems = {m.key() for m in ring.elements() if (x * m).is_zero()}
-        else:
-            elems = {m.key() for m in ring.elements() if (m * x).is_zero()}
-        return Ideal(ring, side, elements=frozenset(elems))
-    if not ring.is_matrix:
-        raise CapExceeded(f"{ring.name} too large to enumerate")
+    if ring.kind == MODULAR:
+        # With d = gcd(x, n): d = u*x + v*n (Bezout), so xR = Rx = dR; and
+        # x*m = 0 (mod n) iff n/d | (x/d)*m iff n/d | m, so both kernels
+        # are (n/d)R.
+        d = math.gcd(x.payload, ring.n)
+        step = d if side.startswith("image") else ring.n // d
+        if ring.n // step > ENUM_CAP:
+            raise CapExceeded(f"{side} ideal of {x!r} has {ring.n // step} elements")
+        return Ideal(ring, side, elements=frozenset(range(0, ring.n, step)))
     arr = np.asarray(x.payload)
     if side == "image-right":
         basis = mat_col_basis(ring, arr)

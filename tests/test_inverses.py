@@ -197,6 +197,11 @@ def test_hybrid_and_annihilator_examples():
         a = R2.element([[1.0, 2.0], [1.0, 3.0]])
         assert np.allclose(fn(a, R2.one(), R2.one()).payload, np.linalg.inv(a.payload))
         assert np.allclose(fn(DIAG23, R2.zero(), R2.zero()).payload, 0.0)
+    # exact backends: c = 1 has no right kernel, so the prescribed kernel is {0}
+    for ring in (Q2, RingDescriptor.matrices_over_prime(5, 2)):
+        a = ring.element([[1, 2], [1, 3]])
+        for fn in (hybrid_inverse, annihilator_inverse):
+            assert fn(a, ring.one(), ring.one()) == ring.element([[3, -2], [-1, 1]])
     # finite backend route
     assert hybrid_inverse(Z6.element(5), Z6.element(4), Z6.element(4)) == Z6.element(2)
     assert annihilator_inverse(Z6.element(5), Z6.element(4), Z6.element(4)) == Z6.element(2)

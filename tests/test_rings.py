@@ -6,11 +6,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from bcinv import (
+    CornerFrame,
     DimensionMismatch,
     NotInvertible,
     NotRegular,
     RingDescriptor,
     RingMismatch,
+    bc_inverse,
     canonical_inner_inverse,
     ideal,
     inner_inverses,
@@ -19,7 +21,6 @@ from bcinv import (
     is_unit,
     normalized_inner_inverse,
     rank_factorization,
-    ring_arith,
     values_equal,
 )
 from helpers import zn_inner_inverses
@@ -29,6 +30,18 @@ Z12 = RingDescriptor.modular(12)
 R2 = RingDescriptor.float_matrices(2, tol=1e-12)
 Q2 = RingDescriptor.rational_matrices(2)
 M2F2 = RingDescriptor.matrices_over_prime(2, 2)
+Q6 = RingDescriptor.rational_matrices(6)
+
+# a, b (rank 5) and c with entries in [-3, 3]; with int64 numerators the
+# corner route overflowed and reported no inverse.
+Q6_INT64_INSTANCE = (
+    [[3, 1, -1, -2, -3, -1], [-1, 2, -1, 0, -3, -1], [1, 2, -2, 3, 2, 0],
+     [0, 0, -3, 2, 0, -3], [0, -1, 2, 1, -1, 3], [-2, 1, -1, 1, 2, 3]],
+    [[0, -1, 3, 1, -1, 0], [-1, 0, 0, 0, 0, 3], [-3, 0, 1, -1, 0, -3],
+     [-1, -2, -1, -3, -2, 0], [3, -1, -3, 2, -1, 2], [0, 0, 1, -1, 0, 2]],
+    [[-1, 3, 2, 1, 3, 2], [-3, -3, -2, 3, -3, -2], [0, 1, 0, 1, 3, -2],
+     [1, -2, 0, 2, 2, 3], [0, -1, 0, -3, -2, 2], [-3, 0, 0, 1, 1, 0]],
+)
 
 
 def test_descriptor_validation():
@@ -42,15 +55,15 @@ def test_descriptor_validation():
 
 def test_modular_arithmetic_examples():
     five = Z6.element(5)
-    assert ring_arith(five, five, "mul") == Z6.element(1)   # 25 mod 6
-    assert ring_arith(Z6.element(4), Z6.element(3), "add") == Z6.element(1)
-    assert ring_arith(five, five, "eq") is True
+    assert five * five == Z6.element(1)                     # 25 mod 6
+    assert Z6.element(4) + Z6.element(3) == Z6.element(1)
+    assert (five == five) is True
 
 
 def test_float_equality_tolerance():
     a = R2.element(np.eye(2))
     b = R2.element(np.eye(2) + 1e-20 * np.ones((2, 2)))
-    assert ring_arith(a, b, "eq") is True
+    assert (a == b) is True
     assert not values_equal(a, R2.element(2 * np.eye(2)))
 
 
@@ -250,6 +263,16 @@ def test_enumeration_order_is_stable():
     assert first == second
     assert first[0] == (0, 0, 0, 0)
     assert len(set(first)) == 16
+
+
+def test_rational_entries_are_python_ints():
+    # A numpy int64 inside a Fraction overflows silently in elimination.
+    a, b, c = (Q6.element(np.array(m, dtype=np.int64)) for m in Q6_INT64_INSTANCE)
+    for x in (a, b, c):
+        assert all(type(f.numerator) is int and type(f.denominator) is int
+                   for f in x.payload.reshape(-1))
+    frame = CornerFrame.make(b, c)
+    assert bc_inverse(a, frame, "corner") == bc_inverse(a, frame, "factor")
 
 
 def test_scalar_embedding_and_transpose():
