@@ -9,9 +9,9 @@ Everything here takes float-backend ring values; internal numerics run on
 the raw arrays with the spectral norm, which makes one-sided multiplication
 operators carry exactly the norm of their multiplier.
 
-scipy is imported inside the two functions that use it
-(integral_representation and choose_beta), so that importing bcinv does
-not load it: scipy takes several times longer to import than numpy.
+scipy is imported inside the one function that uses it
+(integral_representation), so that importing bcinv does not load it:
+scipy takes several times longer to import than numpy.
 """
 
 from __future__ import annotations
@@ -30,19 +30,18 @@ from .errors import (
     SpectralPreconditionFailed,
 )
 from .inverses import CornerFrame, bc_inverse, group_inverse
-from .rings import FLOAT_MATRIX, RingValue
+from .rings import FLOAT_MATRIX, RingValue, _spectral_norm
 
 AGREE_TOL = 1e-8
+
+# 1/phi, the step of the golden-section search in choose_beta.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _require_float(*values: RingValue) -> None:
     for v in values:
         if v.ring.kind != FLOAT_MATRIX:
             raise PreconditionFailed("analytic operations need the float backend")
-
-
-def _spectral_norm(arr: np.ndarray) -> float:
-    return float(np.linalg.norm(arr, 2)) if arr.size else 0.0
 
 
 def _nonzero_eigs(ring, eigs: np.ndarray) -> np.ndarray:
@@ -200,9 +199,12 @@ def series_representation(a: RingValue, v: RingValue, beta: float,
 
 
 def choose_beta(a: RingValue, v: RingValue) -> float:
-    """Real coefficient minimizing |p - beta v a|; fails if the minimum is >= 1."""
-    from scipy.optimize import minimize_scalar
+    """Real coefficient minimizing |p - beta v a|; fails if the minimum is >= 1.
 
+    The objective is the norm of an affine function of beta, hence convex,
+    so a golden-section search on [-8, 8] / |v a| narrows a bracket of the
+    minimum down to 1e-12 / |v a| and returns its better interior point.
+    """
     _require_float(a, v)
     ring = a.ring
     va = v.payload @ a.payload
@@ -217,12 +219,22 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     def objective(beta: float) -> float:
         return _spectral_norm(p_va - beta * va)
 
-    res = minimize_scalar(objective, bounds=(-8.0 / scale, 8.0 / scale),
-                          method="bounded", options={"xatol": 1e-12 / scale})
-    best = float(res.x)
-    if objective(best) >= 1.0:
+    lo, hi = -8.0 / scale, 8.0 / scale
+    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    f1, f2 = objective(x1), objective(x2)
+    while hi - lo > 1e-12 / scale:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _INV_PHI * (hi - lo)
+            f1 = objective(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _INV_PHI * (hi - lo)
+            f2 = objective(x2)
+    best, value = (x1, f1) if f1 <= f2 else (x2, f2)
+    if value >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
-    return best
+    return float(best)
 
 
 def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = None,
@@ -243,6 +255,7 @@ def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = Non
     av = aP @ vP
     va = vP @ aP
     eye = np.eye(ring.k)
+    nv = _spectral_norm(vP)
     eigs = np.linalg.eigvals(av)
     nz = _nonzero_eigs(ring, eigs)
     if lambda0 is None:
@@ -263,17 +276,18 @@ def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = Non
             lam *= 0.5
             continue
         current = np.linalg.solve((lam * eye + av).T, vP.T).T
+        nc = _spectral_norm(current)
         if not mirror_checked:
             # The two-sided identity holds at every admissible lambda; assert
             # it here where the resolvent is still well conditioned.
             mirrored = np.linalg.solve(lam * eye + va, vP)
-            if _spectral_norm(current - mirrored) > AGREE_TOL * (1.0 + _spectral_norm(current)):
+            if _spectral_norm(current - mirrored) > AGREE_TOL * (1.0 + nc):
                 raise ConvergenceFailure("left and right limit forms disagree")
             mirror_checked = True
-        if _spectral_norm(current) > blowup * (1.0 + _spectral_norm(vP)):
+        if nc > blowup * (1.0 + nv):
             raise ConvergenceFailure("resolvent iterates diverge as lambda -> 0")
         if previous is not None:
-            diff = _spectral_norm(current - previous) / (1.0 + _spectral_norm(current))
+            diff = _spectral_norm(current - previous) / (1.0 + nc)
             if diff <= tol:
                 return ring.element(current)
             if diff < best_diff:
@@ -288,6 +302,45 @@ def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = Non
     raise ConvergenceFailure("limit iterates did not stabilize")
 
 
+def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
+                inverse: Callable[[], np.ndarray], side: str,
+                ctol: float = 1e-8) -> tuple[np.ndarray, float]:
+    """The certified multiplier of one side, and its spectral norm.
+
+    side "left": w = (a v)^# a p.  w annihilates the complement range
+    (1-p), and w y recovers the group inverse of a*v.
+    side "right", by the transpose duality: w = q a (v a)^#, with
+    (1-q) w = 0 and y w = (v a)^#.
+    inverse() gives y, the certified (b,c)-inverse of a in frame.  It is
+    called once the group inverse exists, so a missing group inverse is
+    reported before a missing (b,c)-inverse.
+    """
+    left = side == "left"
+    try:
+        sharp = group_inverse(a * v if left else v * a).payload
+    except InverseAbsent as exc:
+        name = "a*v" if left else "v*a"
+        raise PreconditionFailed(f"{name} is not group invertible: {exc}")
+    one = np.eye(a.ring.k)
+    y = inverse()
+    if left:
+        w = sharp @ a.payload @ frame.p.payload
+        escape, recovery = w @ (one - frame.p.payload), w @ y - sharp
+        messages = ("multiplier fails to annihilate the complement",
+                    "multiplier does not map the inverse to the group inverse")
+    else:
+        w = frame.q.payload @ a.payload @ sharp
+        escape, recovery = (one - frame.q.payload) @ w, y @ w - sharp
+        messages = ("right multiplier escapes the corner column space",
+                    "right multiplier does not recover the group inverse")
+    scale = 1.0 + _spectral_norm(w) + _spectral_norm(sharp)
+    if _spectral_norm(escape) > ctol * scale:
+        raise PreconditionFailed(messages[0])
+    if _spectral_norm(recovery) > ctol * scale:
+        raise PreconditionFailed(messages[1])
+    return w, _spectral_norm(w)
+
+
 def build_H(a: RingValue, v: RingValue, frame: CornerFrame,
             ctol: float = 1e-8) -> tuple[RingValue, float]:
     """Left-multiplier w = (a v)^# a p realizing the auxiliary operator.
@@ -298,40 +351,18 @@ def build_H(a: RingValue, v: RingValue, frame: CornerFrame,
     of left multiplication by w.
     """
     _require_float(a, v)
-    ring = a.ring
-    try:
-        sharp = group_inverse(a * v)
-    except InverseAbsent as exc:
-        raise PreconditionFailed(f"a*v is not group invertible: {exc}")
-    w = sharp.payload @ a.payload @ frame.p.payload
-    scale = 1.0 + _spectral_norm(w) + _spectral_norm(sharp.payload)
-    y = bc_inverse(a, frame)
-    one = np.eye(ring.k)
-    if _spectral_norm(w @ (one - frame.p.payload)) > ctol * scale:
-        raise PreconditionFailed("multiplier fails to annihilate the complement")
-    if _spectral_norm(w @ y.payload - sharp.payload) > ctol * scale:
-        raise PreconditionFailed("multiplier does not map the inverse to the group inverse")
-    return ring.element(w), _spectral_norm(w)
+    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload,
+                          "left", ctol)
+    return a.ring.element(w), norm
 
 
 def build_H_right(a: RingValue, v: RingValue, frame: CornerFrame,
                   ctol: float = 1e-8) -> tuple[RingValue, float]:
     """Right-multiplier counterpart q a (v a)^#, by the transpose duality."""
     _require_float(a, v)
-    ring = a.ring
-    try:
-        sharp = group_inverse(ring.element(v.payload @ a.payload))
-    except InverseAbsent as exc:
-        raise PreconditionFailed(f"v*a is not group invertible: {exc}")
-    w = frame.q.payload @ a.payload @ sharp.payload
-    scale = 1.0 + _spectral_norm(w) + _spectral_norm(sharp.payload)
-    y = bc_inverse(a, frame)
-    one = np.eye(ring.k)
-    if _spectral_norm((one - frame.q.payload) @ w) > ctol * scale:
-        raise PreconditionFailed("right multiplier escapes the corner column space")
-    if _spectral_norm(y.payload @ w - sharp.payload) > ctol * scale:
-        raise PreconditionFailed("right multiplier does not recover the group inverse")
-    return ring.element(w), _spectral_norm(w)
+    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload,
+                          "right", ctol)
+    return a.ring.element(w), norm
 
 
 @dataclass
@@ -350,28 +381,83 @@ class BoundReport:
     norm_h_right: float | None = None
 
 
+@dataclass(frozen=True)
+class _BoundData:
+    """The lambda-independent part of perturbation_bound for one (a, v, frame).
+
+    norm_h is 0.0 for degenerate data (|a| |y| |H| = 0), and then nothing
+    after it is computed.  right_error is the message of the
+    PreconditionFailed that building the right multiplier raised; it is
+    raised again only once the left side of a bound has passed.
+    """
+
+    y: np.ndarray
+    norm_a: float
+    norm_v: float
+    norm_y: float
+    norm_h: float
+    av: np.ndarray | None = None
+    va: np.ndarray | None = None
+    eigs: np.ndarray | None = None
+    norm_av: float = 0.0
+    norm_h_right: float | None = None
+    right_error: str | None = None
+
+
+def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
+    y = bc_inverse(a, frame).payload
+    na, nv, ny = a.norm(), v.norm(), _spectral_norm(y)
+    if na * ny == 0.0:
+        return _BoundData(y, na, nv, ny, 0.0)
+    _, nH = _multiplier(a, v, frame, lambda: y, "left")
+    if nH == 0.0:
+        return _BoundData(y, na, nv, ny, 0.0)
+    av = a.payload @ v.payload
+    try:
+        _, nHr = _multiplier(a, v, frame, lambda: y, "right")
+        right_error = None
+    except PreconditionFailed as exc:
+        nHr, right_error = None, str(exc)
+    return _BoundData(y, na, nv, ny, nH, av=av, va=v.payload @ a.payload,
+                      eigs=np.linalg.eigvals(av), norm_av=_spectral_norm(av),
+                      norm_h_right=nHr, right_error=right_error)
+
+
+# The last (a, v, frame) that perturbation_bound prepared, and its data:
+# a lambda grid over the same objects solves and certifies once.  The key
+# is object identity; the entry holds the objects themselves, so their ids
+# cannot be reused while it lives, and they are immutable, so the data
+# cannot go stale.
+_last_bound: tuple[tuple[RingValue, RingValue, CornerFrame], _BoundData] | None = None
+
+
+def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
+    global _last_bound
+    entry = _last_bound
+    if entry is not None and all(x is y for x, y in zip(entry[0], (a, v, frame))):
+        return entry[1]
+    data = _bound_data(a, v, frame)
+    _last_bound = ((a, v, frame), data)
+    return data
+
+
 def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
                        lam: float) -> BoundReport:
     """Resolvent deviation |y - v(lam + a v)^{-1}| against its a-priori bound.
 
     Admissible: lam outside the spectrum of -(a v) with
     |lam| < 1 / (|a| |y|^2 |H|).  Degenerate data (|a| |y| |H| = 0) means
-    the deviation is identically zero and no bound is needed.
+    the deviation is identically zero and no bound is needed.  Repeated
+    calls on the same a, v and frame objects reuse the lambda-independent
+    data: the inverse, the norms, the multipliers and the spectrum of a v.
     """
     _require_float(a, v)
-    ring = a.ring
-    y = bc_inverse(a, frame)
-    na, nv, ny = a.norm(), v.norm(), y.norm()
-    av = a.payload @ v.payload
-    eye = np.eye(ring.k)
-    if na * ny == 0.0:
-        return BoundReport(lam, 0.0, 0.0, math.inf, na, nv, ny, 0.0,
-                           0.0, 0.0, math.inf, 0.0)
-    _, nH = build_H(a, v, frame)
+    d = _cached_bound_data(a, v, frame)
+    na, nv, ny, nH = d.norm_a, d.norm_v, d.norm_y, d.norm_h
     if nH == 0.0:
         return BoundReport(lam, 0.0, 0.0, math.inf, na, nv, ny, 0.0,
                            0.0, 0.0, math.inf, 0.0)
-    eigs = np.linalg.eigvals(av)
+    eigs = d.eigs
     if not np.all(np.abs(lam + eigs) > 1e-12 * (1.0 + np.abs(eigs))):
         raise PreconditionFailed(f"lambda = {lam} lies in the spectrum of -(a v)")
     radius = 1.0 / (na * ny * ny * nH)
@@ -379,23 +465,25 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
     if margin <= 0.0:
         raise PreconditionFailed(
             f"|lambda| = {abs(lam):.6g} is not below the admissible radius {radius:.6g}")
-    resolvent = np.linalg.solve((lam * eye + av).T, v.payload.T).T
-    measured = _spectral_norm(y.payload - resolvent)
+    eye = np.eye(a.ring.k)
+    resolvent = np.linalg.solve((lam * eye + d.av).T, v.payload.T).T
+    measured = _spectral_norm(d.y - resolvent)
     bound = (abs(lam) * nv * na * ny ** 3 * nH ** 2) / (1.0 - abs(lam) * na * ny * ny * nH)
     # The resolvent solve carries backward error ~ eps |av| / |lambda|, which
     # dominates the true deviation once lambda is tiny; allow for it.
-    conditioning = 1.0 + (_spectral_norm(av) / abs(lam) if lam != 0.0 else 0.0)
+    conditioning = 1.0 + (d.norm_av / abs(lam) if lam != 0.0 else 0.0)
     noise = 1e-13 * (1.0 + nv) * conditioning
     if measured > bound * (1.0 + 1e-9) + noise:
         raise BcinvError(
             f"measured deviation {measured:.3e} exceeds the bound {bound:.3e}")
     report = BoundReport(lam, measured, bound, margin, na, nv, ny, nH)
-    _, nHr = build_H_right(a, v, frame)
+    if d.right_error is not None:
+        raise PreconditionFailed(d.right_error)
+    nHr = d.norm_h_right
     radius_r = math.inf if nHr == 0.0 else 1.0 / (na * ny * ny * nHr)
     if abs(lam) < radius_r:
-        va = v.payload @ a.payload
-        resolvent_r = np.linalg.solve(lam * eye + va, v.payload)
-        measured_r = _spectral_norm(y.payload - resolvent_r)
+        resolvent_r = np.linalg.solve(lam * eye + d.va, v.payload)
+        measured_r = _spectral_norm(d.y - resolvent_r)
         if nHr == 0.0:
             bound_r = 0.0
         else:

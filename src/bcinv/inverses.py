@@ -57,9 +57,12 @@ def _resid_zero(residual: RingValue, scale: float, vtol: float | None) -> bool:
     return float(np.linalg.norm(residual.payload)) <= vtol * scale
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class CornerFrame:
-    """Ambient data (b, c, g, h) with the derived idempotents p, q."""
+    """Ambient data (b, c, g, h) with the derived idempotents p, q.
+
+    Frozen, like its ring values, so a frame can key a cache by identity.
+    """
 
     b: RingValue
     c: RingValue
@@ -77,8 +80,8 @@ class CornerFrame:
             raise PreconditionFailed("g is not an inner inverse of b")
         if not (self.c * self.h * self.c == self.c):
             raise PreconditionFailed("h is not an inner inverse of c")
-        self.p = self.b * self.g
-        self.q = self.h * self.c
+        object.__setattr__(self, "p", self.b * self.g)
+        object.__setattr__(self, "q", self.h * self.c)
 
     @property
     def ring(self) -> RingDescriptor:
@@ -151,7 +154,8 @@ def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue,
     outer = y - y * a * y
     scale = 1.0
     if a.ring.kind == FLOAT_MATRIX:
-        scale = 1.0 + a.norm() + frame.b.norm() + frame.c.norm() + y.norm() + y.norm() * a.norm()
+        na, ny = a.norm(), y.norm()
+        scale = 1.0 + na + frame.b.norm() + frame.c.norm() + ny + ny * na
     verdict = all(_resid_zero(r, scale, vtol)
                   for r in (membership, left_eq, right_eq, outer))
     return BcCertificate(y, membership, left_eq, right_eq, outer, verdict)

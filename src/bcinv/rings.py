@@ -320,9 +320,7 @@ class RingValue:
         """Spectral norm (float backend); float value of |residue| otherwise."""
         if self.ring.kind == MODULAR:
             return float(self.payload)
-        if self.ring.kind == FLOAT_MATRIX:
-            return float(np.linalg.norm(self.payload, 2))
-        return float(np.linalg.norm(np.asarray(self.payload, dtype=float), 2))
+        return _spectral_norm(np.asarray(self.payload, dtype=float))
 
     def __repr__(self):
         if self.ring.kind == MODULAR:
@@ -389,10 +387,21 @@ def _from_lists(ring: RingDescriptor, rows, shape=None) -> np.ndarray:
     return out
 
 
-def _float_rank(ring: RingDescriptor, arr: np.ndarray) -> int:
+def _spectral_norm(arr: np.ndarray) -> float:
+    """The value np.linalg.norm(arr, 2) computes, without its dispatch.
+
+    That norm is the largest singular value, and LAPACK returns them in
+    descending order, so the first one is the same float bit for bit.
+    """
+    return float(np.linalg.svd(arr, compute_uv=False)[0]) if arr.size else 0.0
+
+
+def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = None) -> int:
+    """Numerical rank of arr; s are its singular values when the caller has them."""
     if arr.size == 0:
         return 0
-    s = np.linalg.svd(arr, compute_uv=False)
+    if s is None:
+        s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     threshold = ring.rank_tol * max(arr.shape) * s[0]
@@ -420,7 +429,7 @@ def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         if arr.size == 0:
             return np.eye(arr.shape[1])
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
-        r = _float_rank(ring, arr)
+        r = _float_rank(ring, arr, s)
         return vh[r:].T.copy()
     if arr.shape[0] == 0:
         # No equations: every vector solves them.  (The list kernel cannot
@@ -442,7 +451,7 @@ def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         if arr.size == 0:
             return np.empty((arr.shape[0], 0))
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
-        r = _float_rank(ring, arr)
+        r = _float_rank(ring, arr, s)
         return u[:, :r].copy()
     B, _ = xla.rank_factorization(_field(ring), _to_lists(arr))
     return _from_lists(ring, B, shape=(arr.shape[0], 0))
@@ -534,7 +543,7 @@ def rank_factorization(x: RingValue):
     if ring.kind == FLOAT_MATRIX:
         arr = np.asarray(x.payload, dtype=float)
         u, s, vh = np.linalg.svd(arr)
-        r = _float_rank(ring, arr)
+        r = _float_rank(ring, arr, s)
         B = u[:, :r] * s[:r]
         C = vh[:r, :].copy()
         return B, C
@@ -579,7 +588,7 @@ def canonical_inner_inverse(b: RingValue) -> RingValue:
     if ring.kind == FLOAT_MATRIX:
         arr = np.asarray(b.payload, dtype=float)
         u, s, vh = np.linalg.svd(arr)
-        r = _float_rank(ring, arr)
+        r = _float_rank(ring, arr, s)
         if r == 0:
             return ring.zero()
         g = (vh[:r, :].T / s[:r]) @ u[:, :r].T

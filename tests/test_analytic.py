@@ -1,6 +1,8 @@
 """Analytic representations, the auxiliary multiplier, bounds, continuity."""
 
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,35 @@ def test_choose_beta():
     rot = R2.element([[0.0, -1.0], [1.0, 0.0]])
     with pytest.raises(PreconditionFailed):
         choose_beta(rot, R2.one())              # spectrum {i, -i}: no real contraction
+
+
+def test_choose_beta_is_no_worse_than_scipy():
+    # scipy's bounded Brent search on the same bracket and xatol is only an
+    # oracle here: the library's golden-section search must do as well.
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    rng = np.random.default_rng(67)
+    chosen = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 7))
+        a, frame = random_frame_instance(rng, n, int(rng.integers(1, n)))
+        v = build_v(frame)
+        va = v.payload @ a.payload
+        p = va @ group_inverse(v * a).payload
+        scale = np.linalg.norm(va, 2)
+
+        def objective(beta):
+            return np.linalg.norm(p - beta * va, 2)
+
+        oracle = minimize_scalar(objective, bounds=(-8.0 / scale, 8.0 / scale),
+                                 method="bounded", options={"xatol": 1e-12 / scale})
+        try:
+            beta = choose_beta(a, v)
+        except PreconditionFailed:
+            assert objective(oracle.x) >= 1.0 - 1e-12
+            continue
+        assert objective(beta) <= objective(oracle.x) + 1e-12
+        chosen += 1
+    assert chosen >= 10
 
 
 def test_limit_examples():
@@ -309,3 +340,78 @@ def test_cross_route_agreement_smoke():
             pass
     assert checked_series >= 1
     assert checked_integral >= 1
+
+
+def _fresh(a, v, frame):
+    """Copies of (a, v, frame) with new identities, so no cached data applies."""
+    ring = a.ring
+    return (ring.element(a.payload), ring.element(v.payload),
+            CornerFrame(frame.b, frame.c, frame.g, frame.h))
+
+
+def _bits(report):
+    return [None if x is None else float(x).hex() for x in dataclasses.astuple(report)]
+
+
+def _assert_reuse_matches_fresh(a, v, frame, lams):
+    # Reused: one call prepares (a, v, frame), the rest hit the cache.  Each
+    # fresh call runs on new copies and prepares anew.
+    reused = [_bits(perturbation_bound(a, v, frame, lam)) for lam in lams]
+    assert reused == [_bits(perturbation_bound(*_fresh(a, v, frame), lam)) for lam in lams]
+
+
+def test_perturbation_bound_interleaved_instances_match_fresh_copies():
+    rng = np.random.default_rng(68)
+    first = random_frame_instance(rng, 4, 2)
+    second = random_frame_instance(rng, 5, 3)
+    instances = [(a, build_v(frame), frame) for a, frame in (first, second)]
+    for a, v, frame in (instances[0], instances[1], instances[0], instances[1]):
+        _, nH = build_H(a, v, frame)
+        radius = 1.0 / (a.norm() * bc_inverse(a, frame).norm() ** 2 * nH)
+        _assert_reuse_matches_fresh(a, v, frame, [0.1 * radius, -0.3 * radius, 0.7 * radius])
+
+
+def test_perturbation_bound_reuse_is_bitwise_on_the_criterion_4_grid():
+    # The instance generator and the lambda grid of acceptance criterion 4,
+    # on its first 25 instances.
+    rng = np.random.default_rng(20250808)
+    checked = 0
+    for _ in range(25):
+        n = int(rng.integers(2, 9))
+        a, frame = random_frame_instance(rng, n, int(rng.integers(1, n)))
+        v = build_v(frame)
+        y = bc_inverse(a, frame)
+        _, nH = build_H(a, v, frame)
+        if a.norm() * y.norm() * nH == 0.0:
+            continue
+        radius = 1.0 / (a.norm() * y.norm() ** 2 * nH)
+        eigs = np.linalg.eigvals(a.payload @ v.payload)
+        lams = []
+        for frac in np.linspace(0.04, 0.8, 20):
+            lam = float(frac * radius)
+            while not np.all(np.abs(lam + eigs) > 1e-12 * (1.0 + np.abs(eigs))):
+                lam *= 1.0000001
+            lams.append(lam)
+        _assert_reuse_matches_fresh(a, v, frame, lams)
+        checked += len(lams)
+    assert checked >= 400
+
+
+def test_perturbation_bound_preconditions_hold_on_every_call():
+    v = build_v(FRAME_E11)
+    perturbation_bound(DIAG23, v, FRAME_E11, 0.1)       # radius 4/3
+    for _ in range(3):
+        with pytest.raises(PreconditionFailed, match="admissible radius"):
+            perturbation_bound(DIAG23, v, FRAME_E11, 2.0)
+        assert perturbation_bound(DIAG23, v, FRAME_E11, 0.1).measured > 0.0
+    one_frame = CornerFrame.from_idempotents(R2.one(), R2.one())
+    nilpotent = R2.element([[0.0, 1.0], [0.0, 0.0]])
+    for _ in range(3):
+        with pytest.raises(PreconditionFailed, match="a\\*v is not group invertible"):
+            perturbation_bound(R2.one(), nilpotent, one_frame, 0.1)
+
+
+def test_corner_frame_is_frozen():
+    for name in ("b", "p"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(FRAME_E11, name, R2.one())

@@ -159,6 +159,8 @@ statuses = [
     main(["banach", "--ring", "R:2", "--method", "limit", "--lambda0", "0.1",
           "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
     main(["continuity", "--ring", "R:2", "--count", "50", "--report", report]),
+    main(["banach", "--ring", "R:2", "--method", "series",
+          "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
 ]
 before = "scipy" in sys.modules
 integral = main(["banach", "--ring", "R:2", "--method", "integral",
@@ -177,7 +179,7 @@ def test_scipy_is_loaded_only_by_the_jobs_that_use_it(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["statuses"] == [STATUS_OK] * 3
+    assert result["statuses"] == [STATUS_OK] * 4
     assert result["scipy_before"] is False
     assert result["integral"] == STATUS_OK
     assert result["scipy_after"] is True

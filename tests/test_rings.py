@@ -175,6 +175,22 @@ def test_ideal_comparisons():
         a == ideal(Z6.element(2), "image-left")
 
 
+def test_spectral_norm_is_numpys_2_norm_bit_for_bit():
+    from bcinv.analytic import _spectral_norm
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1), (2, 2), (3, 5), (5, 3), (4, 4), (7, 2), (16, 16), (32, 32)]
+    arrays = [np.zeros((4, 4))] + [rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 7)
+                                   for shape in shapes for _ in range(5)]
+    for x in arrays:
+        want = float(np.linalg.norm(x, 2)).hex()
+        assert _spectral_norm(x).hex() == want
+        if x.shape[0] == x.shape[1]:
+            assert RingDescriptor.float_matrices(x.shape[0]).element(x).norm().hex() == want
+    for ring in (M2F2, Q2):
+        x = ring.element([[1, 1], [0, 1]])
+        assert x.norm() == float(np.linalg.norm(np.asarray(x.payload, dtype=float), 2))
+
+
 def test_rank_factorization_examples():
     B, C = rank_factorization(R2.element(np.diag([2.0, 0.0])))
     assert B.shape[1] == 1 and C.shape[0] == 1
