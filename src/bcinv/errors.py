@@ -42,4 +42,4 @@ class SpectralPreconditionFailed(BcinvError):
 
 
 class ConvergenceFailure(BcinvError):
-    """Quadrature, series or limit iteration did not reach tolerance."""
+    """An integral, series or limit did not reach tolerance, or its mirrored forms disagree."""

@@ -163,6 +163,11 @@ class RingDescriptor:
                            dtype=object)
         else:
             out = np.asarray(arr, dtype=np.float64).copy()
+            if not np.isfinite(out).all():
+                i, j = np.argwhere(~np.isfinite(out))[0]
+                raise PreconditionFailed(
+                    f"entry ({i + 1}, {j + 1}) is {out[i, j]}: the float backend "
+                    "needs finite entries")
         out.setflags(write=False)
         return out
 

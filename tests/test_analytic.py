@@ -2,12 +2,13 @@
 
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from bcinv import (
-        ConvergenceFailure,
+    ConvergenceFailure,
     CornerFrame,
     PreconditionFailed,
     RingDescriptor,
@@ -27,6 +28,8 @@ from bcinv import (
     series_representation,
     spectrum,
 )
+from bcinv.analytic import _expm
+from bcinv.cli import main
 from helpers import random_frame_instance, rel_err
 
 R2 = RingDescriptor.float_matrices(2)
@@ -58,6 +61,50 @@ def test_integral_examples():
     assert rel_err(y.payload, np.linalg.inv(a.payload)) <= 1e-8
     with pytest.raises(SpectralPreconditionFailed):
         integral_representation(R2.element([[0.0, -1.0], [1.0, 0.0]]), R2.one())
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+def test_integral_small_spectral_abscissa(eps):
+    # The truncation point grows like log(1/eps)/eps; the whole [0, T] must
+    # still be resolved.
+    r3 = RingDescriptor.float_matrices(3)
+    a = r3.element(np.diag([eps, 1.0, 5.0]))
+    one = r3.one()
+    direct = bc_inverse(a, CornerFrame.from_idempotents(one, one))
+    assert rel_err(integral_representation(a, one).payload, direct.payload) <= 1e-6
+
+
+@pytest.mark.parametrize("matrix", [[[0.01, -20.0], [20.0, 0.01]],     # fast rotation
+                                    [[1e-3, 1e3], [0.0, 1.0]]])         # non-normal
+def test_integral_hard_instances_agree_with_bc_inverse(matrix):
+    a = R2.element(matrix)
+    one = R2.one()
+    direct = bc_inverse(a, CornerFrame.from_idempotents(one, one))
+    assert rel_err(integral_representation(a, one).payload, direct.payload) <= 1e-6
+
+
+def test_integral_cli_small_abscissa_agrees(capsys):
+    rc = main(["banach", "--ring", "R:3", "--a", "[[0.001,0,0],[0,1,0],[0,0,5]]",
+               "--b", "I", "--c", "I", "--method", "integral"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["verdicts"]["agrees"] is True
+
+
+def test_expm_matches_scipy():
+    # scipy's expm is only an oracle here.
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(68)
+    for _ in range(2000):
+        k = int(rng.integers(1, 17))
+        x = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-4.0, 1.0)
+        want = expm(x)
+        assert np.linalg.norm(_expm(x) - want, 1) <= 1e-11 * np.linalg.norm(want, 1)
+
+
+def test_expm_of_zero_is_identity():
+    for k in (1, 2, 6):
+        assert np.array_equal(_expm(np.zeros((k, k))), np.eye(k))
 
 
 def test_series_examples():

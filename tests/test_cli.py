@@ -147,6 +147,15 @@ def test_nonpositive_count_is_status_2(capsys, count):
     assert "count must be at least 1" in out["diagnostic"]["message"]
 
 
+@pytest.mark.parametrize("literal", ["[[NaN,0],[0,1]]", '[[1,0],["-inf",1]]', "Infinity"])
+def test_non_finite_float_entry_is_status_2(capsys, literal):
+    rc = main(["compute", "--ring", "R:2", "--a", literal, "--b", "E11", "--c", "E11"])
+    assert rc == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostic"]["error"] == "PreconditionFailed"
+    assert "needs finite entries" in out["diagnostic"]["message"]
+
+
 _SCIPY_PROBE = """
 import json, sys
 import bcinv
@@ -156,21 +165,24 @@ frame = ["--b", "E11", "--c", "E11"]
 statuses = [
     main(["compute", "--ring", "Z6", "--a", "5", "--b", "4", "--c", "4",
           "--report", report]),
+    main(["verify", "--ring", "Z6", "--a", "5", "--b", "4", "--c", "4", "--y", "2",
+          "--report", report]),
+    main(["lab", "--ring", "Z6", "--suite", "equivalences", "--report", report]),
+    main(["rol", "--ring", "R:2", "--a", "[[1,1],[0,1]]", "--a2", "[[1,0],[1,1]]",
+          *frame, "--b2", "E11", "--c2", "E11", "--report", report]),
     main(["banach", "--ring", "R:2", "--method", "limit", "--lambda0", "0.1",
           "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
     main(["continuity", "--ring", "R:2", "--count", "50", "--report", report]),
     main(["banach", "--ring", "R:2", "--method", "series",
           "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
+    main(["banach", "--ring", "R:2", "--method", "integral",
+          "--a", "[[2,0],[0,3]]", *frame, "--report", report]),
 ]
-before = "scipy" in sys.modules
-integral = main(["banach", "--ring", "R:2", "--method", "integral",
-                 "--a", "[[2,0],[0,3]]", *frame, "--report", report])
-print(json.dumps({"statuses": statuses, "scipy_before": before,
-                  "integral": integral, "scipy_after": "scipy" in sys.modules}))
+print(json.dumps({"statuses": statuses, "scipy": "scipy" in sys.modules}))
 """
 
 
-def test_scipy_is_loaded_only_by_the_jobs_that_use_it(tmp_path):
+def test_no_job_loads_scipy(tmp_path):
     # A fresh interpreter: this one has scipy loaded already.
     src = str(Path(bcinv.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -179,10 +191,8 @@ def test_scipy_is_loaded_only_by_the_jobs_that_use_it(tmp_path):
                           env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["statuses"] == [STATUS_OK] * 4
-    assert result["scipy_before"] is False
-    assert result["integral"] == STATUS_OK
-    assert result["scipy_after"] is True
+    assert result["statuses"] == [STATUS_OK] * 8
+    assert result["scipy"] is False
 
 
 def test_report_round_trip(tmp_path):

@@ -10,6 +10,7 @@ from bcinv import (
     DimensionMismatch,
     NotInvertible,
     NotRegular,
+    PreconditionFailed,
     RingDescriptor,
     RingMismatch,
     bc_inverse,
@@ -279,6 +280,15 @@ def test_enumeration_order_is_stable():
     assert first == second
     assert first[0] == (0, 0, 0, 0)
     assert len(set(first)) == 16
+
+
+def test_float_backend_rejects_non_finite_entries():
+    with pytest.raises(PreconditionFailed, match=r"entry \(1, 2\) is nan"):
+        R2.element([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(PreconditionFailed, match=r"entry \(2, 1\) is -inf"):
+        R2.element(np.array([[1.0, 0.0], [-np.inf, 1.0]]))
+    with pytest.raises(PreconditionFailed, match=r"entry \(1, 1\) is inf"):
+        R2.scalar(np.inf)
 
 
 def test_rational_entries_are_python_ints():
