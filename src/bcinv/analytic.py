@@ -28,10 +28,22 @@ from .errors import (
     PreconditionFailed,
     SpectralPreconditionFailed,
 )
-from .inverses import CornerFrame, bc_inverse, group_inverse
+from .inverses import VERDICT_TOL, CornerFrame, bc_inverse, group_inverse
 from .rings import FLOAT_MATRIX, RingValue, _spectral_norm
 
 AGREE_TOL = 1e-8
+
+# The series stops once its tail bound is below _SERIES_TOL and gives up
+# after _SERIES_DOUBLINGS doublings.  The limit stops once successive
+# extrapolated values differ below _LIMIT_TOL, settles for _LIMIT_FLOOR_TOL
+# when rounding stalls it, and fails after _LIMIT_STEPS halvings or once the
+# resolvent exceeds _LIMIT_BLOWUP * (1 + |v|).
+_SERIES_TOL = 1e-12
+_SERIES_DOUBLINGS = 64
+_LIMIT_TOL = 1e-10
+_LIMIT_FLOOR_TOL = 1e-5
+_LIMIT_STEPS = 80
+_LIMIT_BLOWUP = 1e14
 
 # 1/phi, the step of the golden-section search in choose_beta.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -163,14 +175,32 @@ def _group_projection(x: np.ndarray, ring) -> tuple[np.ndarray, np.ndarray]:
     return x @ sharp.payload, sharp.payload
 
 
-def series_representation(a: RingValue, v: RingValue, beta: float,
-                          tol: float = 1e-12, max_terms: int = 100000) -> RingValue:
+def _doubling_sum(M: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """sum_{n >= 0} M^n v by doubling: S_2N = S_N + M^N S_N, M^2N = (M^N)^2.
+
+    Stops at the first N = 2^m where the tail bound scale * |M^N v| reaches
+    _SERIES_TOL; the caller passes scale = |beta| / (1 - |M|).
+    """
+    total, power = v, M
+    for _ in range(_SERIES_DOUBLINGS):
+        if scale * _spectral_norm(power @ v) <= _SERIES_TOL:
+            return total
+        total = total + power @ total
+        power = power @ power
+    raise ConvergenceFailure("series tail bound did not reach tolerance")
+
+
+def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     """Inverse as beta * sum of (1 - beta v a)^n v.
 
-    Convergence needs |p - beta v a| < 1 where p is the group projection of
-    v*a.  The partial sums are accumulated through (p - beta v a)^n v, which
-    equals (1 - beta v a)^n v because the complement of p annihilates v;
-    that keeps the iteration a strict contraction.
+    Convergence needs r = |p - beta v a| < 1 where p is the group projection
+    of v*a.  The sum runs over (p - beta v a)^n v, which equals
+    (1 - beta v a)^n v because the complement of p annihilates v; that keeps
+    the iteration a strict contraction.  Partial sums are doubled until the
+    tail bound |beta| |(p - beta v a)^N v| / (1 - r) falls below tolerance.
+    The mirrored form sum v (p' - beta a v)^n, with p' the group projection
+    of a*v, is summed the same way on transposes, with the same tail bound
+    because v (p' - beta a v)^n = (p - beta v a)^n v, and must agree.
     """
     _require_float(a, v)
     ring = a.ring
@@ -187,28 +217,9 @@ def series_representation(a: RingValue, v: RingValue, beta: float,
     if ratio >= 1.0:
         raise PreconditionFailed(
             f"|p - beta*v*a| = {ratio:.6f} >= 1: the series cannot converge")
-    term = vP.copy()
-    total = vP.copy()
-    n = 0
-    while abs(beta) * _spectral_norm(term) * ratio / (1.0 - ratio) > tol:
-        term = M @ term
-        total = total + term
-        n += 1
-        if n > max_terms:
-            raise ConvergenceFailure("series tail bound did not reach tolerance")
-    left = beta * total
-    # Mirrored form through the other one-sided product.
-    M2 = p_av - beta * av
-    term = vP.copy()
-    total = vP.copy()
-    n = 0
-    while abs(beta) * _spectral_norm(term) * ratio / (1.0 - ratio) > tol:
-        term = term @ M2
-        total = total + term
-        n += 1
-        if n > max_terms:
-            raise ConvergenceFailure("mirrored series did not reach tolerance")
-    right = beta * total
+    scale = abs(beta) / (1.0 - ratio)
+    left = beta * _doubling_sum(M, vP, scale)
+    right = beta * _doubling_sum((p_av - beta * av).T, vP.T, scale).T
     if _spectral_norm(left - right) > AGREE_TOL * (1.0 + _spectral_norm(left)):
         raise ConvergenceFailure("left and right series forms disagree")
     return ring.element(left)
@@ -253,17 +264,20 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     return float(best)
 
 
-def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = None,
-                         tol: float = 1e-10, max_steps: int = 80,
-                         blowup: float = 1e14, floor_tol: float = 1e-5) -> RingValue:
-    """Inverse as the limit of v (lambda + a v)^{-1} along a geometric schedule.
+def limit_representation(a: RingValue, v: RingValue,
+                         lambda0: float | None = None) -> RingValue:
+    """Inverse as the limit of v (lambda + a v)^{-1} as lambda -> 0.
 
-    The schedule starts at min(1, rho/2) with rho the isolation radius of 0
-    in the spectrum of a*v, halves each step, and skips points that collide
-    with the spectrum of -(a*v).  Iteration stops when successive iterates
-    differ below tolerance; once the resolvent conditioning floor makes the
-    differences turn upward, the best iterate so far is accepted provided it
-    already reached floor_tol.  Divergent resolvent growth is a failure.
+    The resolvent is sampled along a geometric schedule that starts at
+    lambda0, by default min(1, rho/2) with rho the isolation radius of 0 in
+    the spectrum of a*v, halves each step, and skips points that collide
+    with the spectrum of -(a*v).  Near 0 the samples are analytic in lambda,
+    so Neville's table extrapolates them to lambda = 0 (Richardson
+    extrapolation); iteration stops when successive extrapolated values
+    differ below tolerance.  Once the resolvent conditioning floor makes the
+    differences turn upward, the best value so far is accepted provided it
+    already reached _LIMIT_FLOOR_TOL.  Divergent resolvent growth is a
+    failure.
     """
     _require_float(a, v)
     ring = a.ring
@@ -283,44 +297,48 @@ def limit_representation(a: RingValue, v: RingValue, lambda0: float | None = Non
     def admissible(l: float) -> bool:
         return bool(np.all(np.abs(l + eigs) > 1e-12 * (1.0 + np.abs(eigs))))
 
-    previous = None
+    lams: list[float] = []
+    row: list[np.ndarray] = []      # Neville's table row of the latest sample
     best = None
     best_diff = math.inf
-    mirror_checked = False
-    for _ in range(max_steps):
+    for _ in range(_LIMIT_STEPS):
         if not admissible(lam):
             lam *= 0.5
             continue
         current = np.linalg.solve((lam * eye + av).T, vP.T).T
         nc = _spectral_norm(current)
-        if not mirror_checked:
+        if not lams:
             # The two-sided identity holds at every admissible lambda; assert
             # it here where the resolvent is still well conditioned.
             mirrored = np.linalg.solve(lam * eye + va, vP)
             if _spectral_norm(current - mirrored) > AGREE_TOL * (1.0 + nc):
                 raise ConvergenceFailure("left and right limit forms disagree")
-            mirror_checked = True
-        if nc > blowup * (1.0 + nv):
+        if nc > _LIMIT_BLOWUP * (1.0 + nv):
             raise ConvergenceFailure("resolvent iterates diverge as lambda -> 0")
-        if previous is not None:
-            diff = _spectral_norm(current - previous) / (1.0 + nc)
-            if diff <= tol:
-                return ring.element(current)
+        lams.append(lam)
+        new_row = [current]
+        for j, below in enumerate(row, start=1):
+            far = lams[-1 - j]
+            new_row.append((far * new_row[-1] - lam * below) / (far - lam))
+        if row:
+            estimate = new_row[-1]
+            diff = _spectral_norm(estimate - row[-1]) / (1.0 + _spectral_norm(estimate))
+            if diff <= _LIMIT_TOL:
+                return ring.element(estimate)
             if diff < best_diff:
                 best_diff = diff
-                best = current
-            elif diff > 4.0 * best_diff and best_diff <= floor_tol:
+                best = estimate
+            elif diff > 4.0 * best_diff and best_diff <= _LIMIT_FLOOR_TOL:
                 return ring.element(best)
-        previous = current
+        row = new_row
         lam *= 0.5
-    if best is not None and best_diff <= floor_tol:
+    if best is not None and best_diff <= _LIMIT_FLOOR_TOL:
         return ring.element(best)
     raise ConvergenceFailure("limit iterates did not stabilize")
 
 
 def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
-                inverse: Callable[[], np.ndarray], side: str,
-                ctol: float = 1e-8) -> tuple[np.ndarray, float]:
+                inverse: Callable[[], np.ndarray], side: str) -> tuple[np.ndarray, float]:
     """The certified multiplier of one side, and its spectral norm.
 
     side "left": w = (a v)^# a p.  w annihilates the complement range
@@ -350,15 +368,14 @@ def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
         messages = ("right multiplier escapes the corner column space",
                     "right multiplier does not recover the group inverse")
     scale = 1.0 + _spectral_norm(w) + _spectral_norm(sharp)
-    if _spectral_norm(escape) > ctol * scale:
+    if _spectral_norm(escape) > VERDICT_TOL * scale:
         raise PreconditionFailed(messages[0])
-    if _spectral_norm(recovery) > ctol * scale:
+    if _spectral_norm(recovery) > VERDICT_TOL * scale:
         raise PreconditionFailed(messages[1])
     return w, _spectral_norm(w)
 
 
-def build_H(a: RingValue, v: RingValue, frame: CornerFrame,
-            ctol: float = 1e-8) -> tuple[RingValue, float]:
+def build_H(a: RingValue, v: RingValue, frame: CornerFrame) -> tuple[RingValue, float]:
     """Left-multiplier w = (a v)^# a p realizing the auxiliary operator.
 
     Certified properties: w annihilates the complement range (1-p), and
@@ -367,17 +384,14 @@ def build_H(a: RingValue, v: RingValue, frame: CornerFrame,
     of left multiplication by w.
     """
     _require_float(a, v)
-    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload,
-                          "left", ctol)
+    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload, "left")
     return a.ring.element(w), norm
 
 
-def build_H_right(a: RingValue, v: RingValue, frame: CornerFrame,
-                  ctol: float = 1e-8) -> tuple[RingValue, float]:
+def build_H_right(a: RingValue, v: RingValue, frame: CornerFrame) -> tuple[RingValue, float]:
     """Right-multiplier counterpart q a (v a)^#, by the transpose duality."""
     _require_float(a, v)
-    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload,
-                          "right", ctol)
+    w, norm = _multiplier(a, v, frame, lambda: bc_inverse(a, frame).payload, "right")
     return a.ring.element(w), norm
 
 

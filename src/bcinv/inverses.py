@@ -49,12 +49,10 @@ VERDICT_TOL = 1e-8
 METHODS = ("corner", "factor", "group", "exhaustive")
 
 
-def _resid_zero(residual: RingValue, scale: float, vtol: float | None) -> bool:
+def _resid_zero(residual: RingValue, scale: float) -> bool:
     if residual.ring.kind != FLOAT_MATRIX:
         return residual.is_zero()
-    if vtol is None:
-        vtol = VERDICT_TOL
-    return float(np.linalg.norm(residual.payload)) <= vtol * scale
+    return float(np.linalg.norm(residual.payload)) <= VERDICT_TOL * scale
 
 
 @dataclass(eq=False, frozen=True)
@@ -140,8 +138,7 @@ class BcCertificate:
         }
 
 
-def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue,
-                      vtol: float | None = None) -> BcCertificate:
+def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue) -> BcCertificate:
     """Check the defining equations of the (b,c)-inverse for a candidate y.
 
     Never raises: the outcome is the certificate's verdict.  Membership in
@@ -156,13 +153,12 @@ def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue,
     if a.ring.kind == FLOAT_MATRIX:
         na, ny = a.norm(), y.norm()
         scale = 1.0 + na + frame.b.norm() + frame.c.norm() + ny + ny * na
-    verdict = all(_resid_zero(r, scale, vtol)
+    verdict = all(_resid_zero(r, scale)
                   for r in (membership, left_eq, right_eq, outer))
     return BcCertificate(y, membership, left_eq, right_eq, outer, verdict)
 
 
-def bc_inverse(a: RingValue, frame: CornerFrame, method: str | None = None,
-               vtol: float | None = None) -> RingValue:
+def bc_inverse(a: RingValue, frame: CornerFrame, method: str | None = None) -> RingValue:
     """The unique y with verify_bc_inverse(a, frame, y) true.
 
     method: factor (rank factorizations of b and c with an invertible
@@ -183,10 +179,10 @@ def bc_inverse(a: RingValue, frame: CornerFrame, method: str | None = None,
     elif method == "group":
         y = _bc_group(a, frame)
     elif method == "exhaustive":
-        return _bc_exhaustive(a, frame, vtol)
+        return _bc_exhaustive(a, frame)
     else:
         y = _bc_corner(a, frame)
-    cert = verify_bc_inverse(a, frame, y, vtol)
+    cert = verify_bc_inverse(a, frame, y)
     if not cert.verdict:
         raise InverseAbsent(
             f"candidate from method {method!r} fails the defining equations "
@@ -245,14 +241,14 @@ def _bc_group(a: RingValue, frame: CornerFrame) -> RingValue:
     return v * group_inverse(a * v)
 
 
-def _bc_exhaustive(a: RingValue, frame: CornerFrame, vtol=None) -> RingValue:
+def _bc_exhaustive(a: RingValue, frame: CornerFrame) -> RingValue:
     ring = a.ring
     if not ring.is_finite:
         raise PreconditionFailed("exhaustive search needs a finite backend")
     if ring.size > ENUM_CAP:
         raise CapExceeded(f"{ring.name} exceeds the enumeration cap")
     for y in ring.elements():
-        if verify_bc_inverse(a, frame, y, vtol).verdict:
+        if verify_bc_inverse(a, frame, y).verdict:
             return y
     raise InverseAbsent("exhausted the ring without a match")
 

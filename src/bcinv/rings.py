@@ -38,8 +38,8 @@ FLOAT_MATRIX = "R"
 DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 
-# Full enumeration (inner-inverse sets, exhaustive inverse search) is only
-# attempted below this ring size; it also bounds the element sets of Zn ideals.
+# Element scans (the exhaustive and corner cross-checks) are only attempted
+# below this ring size; it also bounds the element sets of Zn ideals.
 ENUM_CAP = 65536
 
 _IDEAL_SIDES = ("image-right", "image-left", "kernel-right", "kernel-left")
@@ -154,11 +154,12 @@ class RingDescriptor:
         if arr.shape != (self.k, self.k):
             raise DimensionMismatch(
                 f"expected a {self.k}x{self.k} matrix, got shape {arr.shape}")
+        # The exact backends hold Python ints (tolist() yields them), so no
+        # numpy int64, which overflows silently, ends up in a product.
         if self.kind == PRIME_MATRIX:
-            out = np.asarray(arr, dtype=np.int64) % self.p
+            out = np.array([[int(v) % self.p for v in row] for row in arr.tolist()],
+                           dtype=object)
         elif self.kind == RATIONAL_MATRIX:
-            # tolist() yields Python ints, so no numpy int64 (which overflows
-            # silently in elimination) ends up inside a Fraction.
             out = np.array([[Fraction(v) for v in row] for row in arr.tolist()],
                            dtype=object)
         else:
@@ -376,16 +377,14 @@ def _to_lists(arr) -> list:
     return [list(row) for row in out]
 
 
-def _from_lists(ring: RingDescriptor, rows, shape=None) -> np.ndarray:
+def _from_lists(rows, shape=None) -> np.ndarray:
     if not rows or (rows and not rows[0]):
         m = len(rows)
         n = len(rows[0]) if rows else (shape[1] if shape else 0)
         if shape is not None:
             m, n = shape
-        dtype = object if ring.kind == RATIONAL_MATRIX else np.int64
-        return np.empty((m, n), dtype=dtype)
-    dtype = object if ring.kind == RATIONAL_MATRIX else np.int64
-    out = np.empty((len(rows), len(rows[0])), dtype=dtype)
+        return np.empty((m, n), dtype=object)
+    out = np.empty((len(rows), len(rows[0])), dtype=object)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             out[i, j] = v
@@ -440,12 +439,11 @@ def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         # No equations: every vector solves them.  (The list kernel cannot
         # see the column count of a matrix without rows.)
         n = arr.shape[1]
-        return _from_lists(ring, xla.identity(_field(ring), n), shape=(n, n))
+        return _from_lists(xla.identity(_field(ring), n), shape=(n, n))
     vecs = xla.null_space(_field(ring), _to_lists(arr))
     if not vecs:
-        dtype = object if ring.kind == RATIONAL_MATRIX else np.int64
-        return np.empty((arr.shape[1], 0), dtype=dtype)
-    return _from_lists(ring, xla.transpose(vecs))
+        return np.empty((arr.shape[1], 0), dtype=object)
+    return _from_lists(xla.transpose(vecs))
 
 
 def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
@@ -459,7 +457,7 @@ def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         r = _float_rank(ring, arr, s)
         return u[:, :r].copy()
     B, _ = xla.rank_factorization(_field(ring), _to_lists(arr))
-    return _from_lists(ring, B, shape=(arr.shape[0], 0))
+    return _from_lists(B, shape=(arr.shape[0], 0))
 
 
 def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
@@ -479,7 +477,7 @@ def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
     X = xla.solve(_field(ring), _to_lists(A), _to_lists(B))
     if X is None:
         return None
-    return _from_lists(ring, X, shape=return_shape)
+    return _from_lists(X, shape=return_shape)
 
 
 def mat_inv(ring: RingDescriptor, A: np.ndarray):
@@ -497,7 +495,7 @@ def mat_inv(ring: RingDescriptor, A: np.ndarray):
     inv = xla.inverse(_field(ring), _to_lists(A))
     if inv is None:
         return None
-    return _from_lists(ring, inv)
+    return _from_lists(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +551,8 @@ def rank_factorization(x: RingValue):
         C = vh[:r, :].copy()
         return B, C
     B, C = xla.rank_factorization(_field(ring), _to_lists(x.payload))
-    return (_from_lists(ring, B, shape=(ring.k, 0)),
-            _from_lists(ring, C, shape=(0, ring.k)))
-
-
-def inner_inverses(b: RingValue, cap: int = ENUM_CAP) -> list[RingValue]:
-    """All inner inverses on small finite backends, a canonical choice elsewhere.
-
-    Every returned g satisfies b*g*b == b; raises NotRegular when no inner
-    inverse exists (only possible on the finite non-field backends).
-    """
-    ring = b.ring
-    if ring.is_finite and ring.size <= cap:
-        found = [g for g in ring.elements() if b * g * b == b]
-        if not found:
-            raise NotRegular(f"{b!r} has no inner inverse")
-        return found
-    return [canonical_inner_inverse(b)]
+    return (_from_lists(B, shape=(ring.k, 0)),
+            _from_lists(C, shape=(0, ring.k)))
 
 
 def canonical_inner_inverse(b: RingValue) -> RingValue:
@@ -603,7 +586,7 @@ def canonical_inner_inverse(b: RingValue) -> RingValue:
     if not B or not B[0]:
         return ring.zero()
     g = xla.matmul(field, xla.right_inverse(field, C), xla.left_inverse(field, B))
-    return ring.element(_from_lists(ring, g))
+    return ring.element(_from_lists(g))
 
 
 def normalized_inner_inverse(b: RingValue, w: RingValue) -> RingValue:

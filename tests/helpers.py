@@ -109,3 +109,36 @@ def m2f2_bc_inverse(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray |
             hits.append(y)
     assert len(hits) <= 1
     return hits[0] if hits else None
+
+
+def hard_instances() -> list[tuple[str, object, CornerFrame]]:
+    """Deterministic (label, a, frame) cases that strain the representations.
+
+    Small spectral abscissae diag(eps, 1, 5) and [[eps, -20], [20, eps]],
+    a non-normal matrix, 200 corners whose compressed core is only kept
+    above 1e-4, and idempotent frames with p != q.
+    """
+    r2, r3 = RingDescriptor.float_matrices(2), RingDescriptor.float_matrices(3)
+    eye2 = CornerFrame.from_idempotents(r2.one(), r2.one())
+    eye3 = CornerFrame.from_idempotents(r3.one(), r3.one())
+    out = []
+    for k in range(1, 8):
+        eps = 10.0 ** -k
+        out.append((f"diag({eps:g}, 1, 5)", r3.element(np.diag([eps, 1.0, 5.0])), eye3))
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4):
+        out.append((f"rotation({eps:g})", r2.element([[eps, -20.0], [20.0, eps]]), eye2))
+    out.append(("non-normal", r2.element([[1e-3, 1e3], [0.0, 1.0]]), eye2))
+    rng = np.random.default_rng(9)
+    for i in range(200):
+        n = int(rng.integers(2, 9))
+        r = int(rng.integers(1, n))
+        a, b, c = random_instance(rng, n, r, core_floor=1e-4)
+        out.append((f"corner {i} (n={n}, r={r})", a, CornerFrame.make(b, c)))
+    rng = np.random.default_rng(10)
+    while len(out) < 232:
+        n = int(rng.integers(2, 6))
+        a, frame = random_frame_instance(rng, n, int(rng.integers(1, n)))
+        if not frame.p == frame.q:
+            out.append((f"p != q {len(out)} (n={n})", a,
+                        CornerFrame.from_idempotents(frame.p, frame.q)))
+    return out

@@ -147,6 +147,15 @@ def test_criterion_3_cross_method_agreement(float_instances):
                f"limit {n_limit}, series {n_series}, integral {n_integral})")
 
 
+def test_limit_extrapolation_matches_factor_route(float_instances):
+    # Sampling the resolvent alone stalls near 1e-7 at its conditioning
+    # floor on these instances; extrapolating to lambda = 0 must go further.
+    worst = max(rel_err(limit_representation(a, build_v(frame)).payload,
+                        bc_inverse(a, frame).payload)
+                for a, frame in float_instances)
+    assert worst <= 1e-9
+
+
 def test_criterion_4_bound_suite(float_instances):
     worst_ratio = 0.0
     checked = 0

@@ -30,7 +30,7 @@ from bcinv import (
 )
 from bcinv.analytic import _expm
 from bcinv.cli import main
-from helpers import random_frame_instance, rel_err
+from helpers import hard_instances, random_frame_instance, rel_err
 
 R2 = RingDescriptor.float_matrices(2)
 E11 = R2.unit_matrix(0, 0)
@@ -115,6 +115,64 @@ def test_series_examples():
     assert rel_err(series_representation(one, one, 1.0).payload, np.eye(2)) <= 1e-10
     with pytest.raises(PreconditionFailed):
         series_representation(DIAG23, v, 2.0)   # |p - 2 v a| = 3
+
+
+@pytest.mark.parametrize("ring,matrix", [
+    ("R:3", "[[0.0001,0,0],[0,1,0],[0,0,5]]"),
+    ("R:3", "[[0.00001,0,0],[0,1,0],[0,0,5]]"),
+    ("R:2", "[[0.1,-20],[20,0.1]]"),           # real beta leaves r = 1 - 1e-4
+])
+def test_series_cli_contraction_near_one_agrees(capsys, ring, matrix):
+    rc = main(["banach", "--ring", ring, "--a", matrix, "--b", "I", "--c", "I",
+               "--method", "series"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert report["verdicts"]["agrees"] is True
+
+
+def _contraction_exists(a, v) -> bool:
+    """Whether a real beta in choose_beta's range [-8, 8] / |v a| makes
+    |p - beta v a| < 1, on a grid that is also fine near 0."""
+    va = (v * a).payload
+    p = va @ group_inverse(v * a).payload
+    s = np.linalg.norm(va, 2)
+    steps = np.logspace(-9.0, np.log10(8.0), 201)
+    betas = np.concatenate([np.linspace(-8.0, 8.0, 1601), steps, -steps]) / s
+    norms = np.linalg.svd(p[None] - betas[:, None, None] * va[None], compute_uv=False)
+    return bool(norms[:, 0].min() < 1.0)
+
+
+def _integral_hypothesis(a, v) -> bool:
+    """Every nonzero eigenvalue of a*v has a strictly positive real part."""
+    eigs = np.linalg.eigvals((a * v).payload)
+    nz = eigs[np.abs(eigs) > 1e-10 * max(1.0, np.abs(eigs).max())]
+    return bool(nz.size) and bool(np.all(nz.real > 0.0))
+
+
+def test_representations_on_hard_instances_agree_or_refuse():
+    # Each representation either agrees with the certified inverse or raises
+    # the error its own hypothesis predicts; a silent disagreement fails.
+    failures = []
+    for label, a, frame in hard_instances():
+        direct = bc_inverse(a, frame).payload
+        v = build_v(frame)
+
+        def check(name, compute, refusal, hypothesis):
+            try:
+                err = rel_err(compute().payload, direct)
+            except refusal:
+                if hypothesis():
+                    failures.append(f"{label}: {name} refused although its hypothesis holds")
+                return
+            if err > 1e-6:
+                failures.append(f"{label}: {name} deviates by {err:.2e}")
+
+        check("limit", lambda: limit_representation(a, v), (), None)
+        check("series", lambda: series_representation(a, v, choose_beta(a, v)),
+              PreconditionFailed, lambda: _contraction_exists(a, v))
+        check("integral", lambda: integral_representation(a, v),
+              SpectralPreconditionFailed, lambda: _integral_hypothesis(a, v))
+    assert not failures, "\n".join(failures)
 
 
 def test_choose_beta():
