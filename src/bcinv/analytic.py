@@ -228,9 +228,16 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
 def choose_beta(a: RingValue, v: RingValue) -> float:
     """Real coefficient minimizing |p - beta v a|; fails if the minimum is >= 1.
 
-    The objective is the norm of an affine function of beta, hence convex,
-    so a golden-section search on [-8, 8] / |v a| narrows a bracket of the
-    minimum down to 1e-12 / |v a| and returns its better interior point.
+    Every beta with |p - beta v a| < 1 has |1 - beta mu| < 1 for each
+    nonzero eigenvalue mu of v a, so it lies strictly between 0 and
+    2 Re mu / |mu|^2 for every mu.  The objective is the norm of an affine
+    function of beta, hence convex, so a golden-section search on the
+    intersection of those intervals, padded by 1e-3 of its width against
+    eigenvalue rounding, narrows a bracket of the minimum down to
+    1e-12 / |v a| (or four ulps of its ends, if larger) and returns its
+    better interior point.  When the intersection is empty or {0}, beta = 0
+    is evaluated instead; either way the norm at the returned point decides
+    the refusal.
     """
     _require_float(a, v)
     ring = a.ring
@@ -246,19 +253,29 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     def objective(beta: float) -> float:
         return _spectral_norm(p_va - beta * va)
 
-    lo, hi = -8.0 / scale, 8.0 / scale
-    x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > 1e-12 / scale:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-    best, value = (x1, f1) if f1 <= f2 else (x2, f2)
+    # the nonzero eigenvalues are the rank(p) = trace(p) largest in modulus
+    eigs = sorted(np.linalg.eigvals(va).tolist(), key=abs, reverse=True)
+    ends = [2.0 * mu.real / abs(mu) ** 2 for mu in eigs[:round(float(np.trace(p_va)))]]
+    lo = max((min(e, 0.0) for e in ends), default=0.0)
+    hi = min((max(e, 0.0) for e in ends), default=0.0)
+    if hi <= lo:
+        best, value = 0.0, objective(0.0)
+    else:
+        pad = 1e-3 * (hi - lo)
+        lo, hi = lo - pad, hi + pad
+        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+        f1, f2 = objective(x1), objective(x2)
+        # stop at 1e-12 / |v a|, or where the bracket reaches float resolution
+        while hi - lo > max(1e-12 / scale, 4.0 * math.ulp(max(-lo, hi))):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _INV_PHI * (hi - lo)
+                f1 = objective(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _INV_PHI * (hi - lo)
+                f2 = objective(x2)
+        best, value = (x1, f1) if f1 <= f2 else (x2, f2)
     if value >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
     return float(best)
@@ -367,12 +384,13 @@ def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
         escape, recovery = (one - frame.q.payload) @ w, y @ w - sharp
         messages = ("right multiplier escapes the corner column space",
                     "right multiplier does not recover the group inverse")
-    scale = 1.0 + _spectral_norm(w) + _spectral_norm(sharp)
+    norm = _spectral_norm(w)
+    scale = 1.0 + norm + _spectral_norm(sharp)
     if _spectral_norm(escape) > VERDICT_TOL * scale:
         raise PreconditionFailed(messages[0])
     if _spectral_norm(recovery) > VERDICT_TOL * scale:
         raise PreconditionFailed(messages[1])
-    return w, _spectral_norm(w)
+    return w, norm
 
 
 def build_H(a: RingValue, v: RingValue, frame: CornerFrame) -> tuple[RingValue, float]:

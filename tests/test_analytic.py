@@ -131,13 +131,23 @@ def test_series_cli_contraction_near_one_agrees(capsys, ring, matrix):
 
 
 def _contraction_exists(a, v) -> bool:
-    """Whether a real beta in choose_beta's range [-8, 8] / |v a| makes
-    |p - beta v a| < 1, on a grid that is also fine near 0."""
+    """Whether a real beta makes |p - beta v a| < 1, on a grid over [-8, 8] / |v a|
+    and over choose_beta's range, the beta strictly between 0 and 2 Re mu / |mu|^2
+    for every nonzero eigenvalue mu of v a; the grid is also fine near 0 and
+    near each 1 / Re mu."""
     va = (v * a).payload
     p = va @ group_inverse(v * a).payload
     s = np.linalg.norm(va, 2)
-    steps = np.logspace(-9.0, np.log10(8.0), 201)
-    betas = np.concatenate([np.linspace(-8.0, 8.0, 1601), steps, -steps]) / s
+    eigs = np.linalg.eigvals(va)
+    mu = eigs[np.argsort(-np.abs(eigs))[:round(float(np.trace(p)))]]
+    ends = 2.0 * mu.real / np.abs(mu) ** 2
+    steps = np.logspace(-9.0, 0.0, 201)
+    grids = [np.linspace(-8.0, 8.0, 1601) / s, 8.0 * steps / s, -8.0 * steps / s]
+    if np.all(ends > 0.0) or np.all(ends < 0.0):
+        grids.append(np.linspace(0.0, 1.0, 1601) * ends[np.argmin(np.abs(ends))])
+        for centre in 1.0 / mu.real:
+            grids += [centre * (1.0 + steps), centre * (1.0 - steps)]
+    betas = np.concatenate(grids)
     norms = np.linalg.svd(p[None] - betas[:, None, None] * va[None], compute_uv=False)
     return bool(norms[:, 0].min() < 1.0)
 
@@ -187,9 +197,24 @@ def test_choose_beta():
         choose_beta(rot, R2.one())              # spectrum {i, -i}: no real contraction
 
 
+def test_choose_beta_finds_a_contraction_far_outside_the_norm_scale():
+    # v a = x y^T has the single nonzero eigenvalue mu = y^T x = 0.01 while
+    # |v a| is about 100; beta = 1 / mu makes p - beta v a vanish, although
+    # it is about 1e4 times 1 / |v a|, far outside [-8, 8] / |v a|.
+    x = np.array([[1.0], [10.0]])
+    y = np.array([[0.01 - 10.0], [1.0]])
+    a = R2.element(x @ y.T)
+    beta = choose_beta(a, R2.one())
+    assert beta == pytest.approx(100.0, rel=1e-9)
+    assert beta > 1e3 * 8.0 / np.linalg.norm(a.payload, 2)
+    p = a.payload @ group_inverse(a).payload
+    assert np.linalg.norm(p - beta * a.payload, 2) <= 1e-6
+
+
 def test_choose_beta_is_no_worse_than_scipy():
-    # scipy's bounded Brent search on the same bracket and xatol is only an
-    # oracle here: the library's golden-section search must do as well.
+    # scipy's bounded Brent search on [-8, 8] / |v a| with the same xatol is
+    # only an oracle here: the library's golden-section search, whose range
+    # holds every contracting beta, must do as well.
     minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
     rng = np.random.default_rng(67)
     chosen = 0

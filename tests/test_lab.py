@@ -1,8 +1,14 @@
 """Exhaustive-lab suites: certification, counts, determinism, caps."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import bcinv.lab
+import lab_reference
 from bcinv import (
+    BcinvError,
     CapExceeded,
     RingDescriptor,
     RingTable,
@@ -118,3 +124,97 @@ def test_determinism():
     a = verify_reverse_order(Z4)
     b = verify_reverse_order(Z4)
     assert a == b
+
+
+# LabReport.to_dict() of every DEFAULT_RINGS x suite pair as the loop-based
+# sweeps produced it, serialized with sort_keys.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "lab_reports.json").read_text())
+
+
+@pytest.mark.parametrize("ring", DEFAULT_RINGS, ids=lambda r: r.name)
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.__name__)
+def test_reports_match_the_loop_based_sweeps(ring, suite):
+    expected = GOLDEN[f"{ring.name}/{suite.__name__}"]
+    # json.dumps also rejects numpy integers, which would leak into a report
+    assert (json.dumps(suite(ring).to_dict(), sort_keys=True)
+            == json.dumps(expected, sort_keys=True))
+
+
+def _corrupted(table, i, j, value):
+    """Subclass of table whose product i*j is value."""
+    class Corrupted(table):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.mul[i][j] = value
+
+    return Corrupted
+
+
+def _plain(value):
+    if isinstance(value, (tuple, list)):
+        return all(_plain(v) for v in value)
+    return type(value) in (int, bool, str)
+
+
+def _plant(monkeypatch, i, j, value, before):
+    """Corrupt i*j = value in both engines' tables: after construction, or
+    before anything (ideals, idempotents, units, inner inverses) is derived."""
+    if before:
+        tables = bcinv.lab._tables
+
+        def corrupted_tables(ring):
+            mul, add = tables(ring)
+            mul[i, j] = value
+            return mul, add
+
+        class Reference(lab_reference.LoopTable):
+            def _products(self):
+                mul = super()._products()
+                mul[i][j] = value
+                return mul
+
+        monkeypatch.setattr(bcinv.lab, "_tables", corrupted_tables)
+    else:
+        monkeypatch.setattr(bcinv.lab, "RingTable", _corrupted(RingTable, i, j, value))
+        Reference = _corrupted(lab_reference.LoopTable, i, j, value)
+    monkeypatch.setattr(lab_reference, "Table", Reference)
+
+
+# i * j = value in Z6; either way, together they reach every counterexample tag
+PLANTED = [(2, 1, 1), (4, 4, 1), (2, 3, 1)]
+
+
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("fault", PLANTED, ids=str)
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.__name__)
+def test_planted_fault_is_reported_as_by_the_loop_sweeps(monkeypatch, suite, fault, before):
+    _plant(monkeypatch, *fault, before)
+    expected = getattr(lab_reference, suite.__name__)(Z6)
+    report = suite(Z6)
+    assert not report.certified
+    assert report.examined == report.space
+    assert report.statements == expected.statements
+    assert report.counterexamples == expected.counterexamples       # both sorted
+    assert all(_plain(c) for c in report.counterexamples)
+    json.dumps(report.to_dict())
+
+
+def test_planted_duplicate_inverse_raises(monkeypatch):
+    # 0 * 0 = 1 in Z6 makes 0 and 1 both (0,0)-inverses of 0
+    table = _corrupted(RingTable, 0, 0, 1)
+    monkeypatch.setattr(bcinv.lab, "RingTable", table)
+    with pytest.raises(BcinvError, match="two distinct"):
+        table(Z6).bc_inverse_map(0, 0)
+    for suite in (verify_set_decomposition, verify_bott_duffin_section, verify_reverse_order):
+        with pytest.raises(BcinvError, match="two distinct"):
+            suite(Z6)
+
+
+def test_m2f3_suites_certify():
+    m2f3 = RingDescriptor.matrices_over_prime(3, 2)
+    reports = [suite(m2f3, size_cap=81, op_cap=3 * 10 ** 9) for suite in SUITES]
+    for report in reports:
+        assert report.certified, report.counterexamples[:3]
+        assert report.examined == report.space
+    counts = {k: v for k, v in reports[0].statements.items() if k.startswith("s")}
+    assert len(counts) == 16 and len(set(counts.values())) == 1

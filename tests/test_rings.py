@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bcinv import (
     CornerFrame,
     DimensionMismatch,
+    InverseAbsent,
     NotInvertible,
     PreconditionFailed,
     RingDescriptor,
@@ -21,6 +22,7 @@ from bcinv import (
     normalized_inner_inverse,
     rank_factorization,
     values_equal,
+    verify_bc_inverse,
 )
 from helpers import zn_inner_inverses
 
@@ -261,6 +263,38 @@ def test_prime_matrix_product_of_large_entries_is_exact():
     ring = RingDescriptor.matrices_over_prime(2147483647, 4)
     x = ring.element(np.full((4, 4), 2147483646))
     assert x * x == ring.element(np.full((4, 4), 4))      # (-1)(-1) summed 4 times
+
+
+BIG = 10 ** 30
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_rational_matrices_with_large_entries_are_exact(k, data):
+    # Numerators and denominators up to 1e30, half of them from the top of
+    # the range: far past int64 and float precision.
+    size = st.integers(1, BIG) | st.integers(BIG - 3, BIG)
+    entry = st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                      st.sampled_from([-1, 1]), size | st.just(0), size)
+    entries = st.lists(st.lists(entry, min_size=k, max_size=k), min_size=k, max_size=k)
+    xs, ys = data.draw(entries), data.draw(entries)
+    ring = RingDescriptor.rational_matrices(k)
+    x, y = ring.element(xs), ring.element(ys)
+    assert (x * y).payload.tolist() == [[sum(xs[i][t] * ys[t][j] for t in range(k))
+                                         for j in range(k)] for i in range(k)]
+    assert (x + y).payload.tolist() == [[xs[i][j] + ys[i][j] for j in range(k)]
+                                        for i in range(k)]
+    # a (b,c)-inverse on a frame of rank r built from the same entries
+    r = data.draw(st.integers(1, k))
+    b = ring.element(np.array(xs, dtype=object)[:, :r] @ np.array(ys, dtype=object)[:r, :])
+    c = ring.element(np.array(ys, dtype=object)[:, :r] @ np.array(xs, dtype=object)[:r, :])
+    a = ring.element(data.draw(entries))
+    frame = CornerFrame.make(b, c)
+    try:
+        inverse = bc_inverse(a, frame)
+    except InverseAbsent:
+        assume(False)
+    assert verify_bc_inverse(a, frame, inverse).verdict is True
 
 
 def test_float_axioms_at_tolerance():
