@@ -202,13 +202,20 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     of a*v, is summed the same way on transposes, with the same tail bound
     because v (p' - beta a v)^n = (p - beta v a)^n v, and must agree.
     """
+    return _series(a, v, beta)
+
+
+def _series(a: RingValue, v: RingValue, beta: float,
+            p_va: np.ndarray | None = None) -> RingValue:
+    """series_representation; p_va is the group projection of v*a when known."""
     _require_float(a, v)
     ring = a.ring
     vP, aP = v.payload, a.payload
     va = vP @ aP
     av = aP @ vP
     try:
-        p_va, _ = _group_projection(va, ring)
+        if p_va is None:
+            p_va, _ = _group_projection(va, ring)
         p_av, _ = _group_projection(av, ring)
     except InverseAbsent as exc:
         raise PreconditionFailed(f"one-sided product is not group invertible: {exc}")
@@ -239,12 +246,20 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     is evaluated instead; either way the norm at the returned point decides
     the refusal.
     """
+    return _choose_beta(a, v)[0]
+
+
+def _choose_beta(a: RingValue, v: RingValue) -> tuple[float, np.ndarray | None]:
+    """choose_beta's coefficient and the group projection of v*a it used.
+
+    The projection is None when v*a = 0, where none is computed.
+    """
     _require_float(a, v)
     ring = a.ring
     va = v.payload @ a.payload
     scale = _spectral_norm(va)
     if scale == 0.0:
-        return 1.0
+        return 1.0, None
     try:
         p_va, _ = _group_projection(va, ring)
     except InverseAbsent as exc:
@@ -278,7 +293,7 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
         best, value = (x1, f1) if f1 <= f2 else (x2, f2)
     if value >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
-    return float(best)
+    return float(best), p_va
 
 
 def limit_representation(a: RingValue, v: RingValue,
@@ -452,8 +467,9 @@ class _BoundData:
     right_error: str | None = None
 
 
-def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
-    y = bc_inverse(a, frame).payload
+def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
+                y: RingValue | None) -> _BoundData:
+    y = (bc_inverse(a, frame) if y is None else y).payload
     na, nv, ny = a.norm(), v.norm(), _spectral_norm(y)
     if na * ny == 0.0:
         return _BoundData(y, na, nv, ny, 0.0)
@@ -479,12 +495,13 @@ def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
 _last_bound: tuple[tuple[RingValue, RingValue, CornerFrame], _BoundData] | None = None
 
 
-def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
+def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
+                       y: RingValue | None) -> _BoundData:
     global _last_bound
     entry = _last_bound
-    if entry is not None and all(x is y for x, y in zip(entry[0], (a, v, frame))):
+    if entry is not None and all(s is t for s, t in zip(entry[0], (a, v, frame))):
         return entry[1]
-    data = _bound_data(a, v, frame)
+    data = _bound_data(a, v, frame, y)
     _last_bound = ((a, v, frame), data)
     return data
 
@@ -499,8 +516,14 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
     calls on the same a, v and frame objects reuse the lambda-independent
     data: the inverse, the norms, the multipliers and the spectrum of a v.
     """
+    return _perturbation_bound(a, v, frame, lam, None)
+
+
+def _perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame, lam: float,
+                        y: RingValue | None) -> BoundReport:
+    """perturbation_bound; y is bc_inverse(a, frame) when the caller has it."""
     _require_float(a, v)
-    d = _cached_bound_data(a, v, frame)
+    d = _cached_bound_data(a, v, frame, y)
     na, nv, ny, nH = d.norm_a, d.norm_v, d.norm_y, d.norm_h
     if nH == 0.0:
         return BoundReport(lam, 0.0, 0.0, math.inf, na, nv, ny, 0.0,

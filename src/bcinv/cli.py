@@ -241,8 +241,10 @@ def _run_banach(job: JobSpec, report: dict) -> int:
     direct = bc_inverse(a, frame)
     method = job.method or "limit"
     if method == "series":
-        beta = job.beta if job.beta is not None else analytic.choose_beta(a, v)
-        value = analytic.series_representation(a, v, beta)
+        # choose_beta's projection of v*a is the one the series needs
+        beta, p_va = ((job.beta, None) if job.beta is not None
+                      else analytic._choose_beta(a, v))
+        value = analytic._series(a, v, beta, p_va)
         extra = {"beta": beta}
     elif method == "integral":
         value = analytic.integral_representation(a, v)
@@ -260,7 +262,7 @@ def _run_banach(job: JobSpec, report: dict) -> int:
     report["residuals"] = {"deviation": deviation, "relative_deviation": deviation / scale}
     verdicts = {"agrees": deviation <= 1e-6 * scale}
     if job.lambda0 is not None:
-        bound = analytic.perturbation_bound(a, v, frame, job.lambda0)
+        bound = analytic._perturbation_bound(a, v, frame, job.lambda0, direct)
         report["outputs"]["bound"] = {k: v for k, v in asdict(bound).items()
                                       if v is not None}
         verdicts["bound_holds"] = bound.measured <= bound.bound * (1.0 + 1e-9) + 1e-15

@@ -41,6 +41,7 @@ from .rings import (
     mat_solve,
     rank_factorization,
     values_equal,
+    _wrap,
 )
 
 # Scale-aware residual tolerance for float verdicts.
@@ -74,11 +75,12 @@ class CornerFrame:
         for v in (self.c, self.g, self.h):
             if v.ring != ring:
                 raise RingMismatch("frame members belong to different rings")
-        if not (self.b * self.g * self.b == self.b):
+        p = self.b * self.g
+        if not (p * self.b == self.b):
             raise PreconditionFailed("g is not an inner inverse of b")
         if not (self.c * self.h * self.c == self.c):
             raise PreconditionFailed("h is not an inner inverse of c")
-        object.__setattr__(self, "p", self.b * self.g)
+        object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", self.h * self.c)
 
     @property
@@ -145,10 +147,11 @@ def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue) -> BcCerti
     the corner set is tested as p*y*q == y, which is equivalent to the
     two-sided absorption p*y == y == y*q together with y in b R c.
     """
+    ya = y * a
     membership = frame.p * y * frame.q - y
-    left_eq = frame.b - y * a * frame.b
+    left_eq = frame.b - ya * frame.b
     right_eq = frame.c - frame.c * a * y
-    outer = y - y * a * y
+    outer = y - ya * y
     scale = 1.0
     if a.ring.kind == FLOAT_MATRIX:
         na, ny = a.norm(), y.norm()
@@ -202,7 +205,7 @@ def _bc_factor(a: RingValue, frame: CornerFrame) -> RingValue:
     mid_inv = mat_inv(ring, mid)
     if mid_inv is None:
         raise InverseAbsent("corner-rank deficiency: Cr*a*B is singular")
-    return ring.element(mat_mul(ring, mat_mul(ring, B, mid_inv), Cr))
+    return _wrap(ring, mat_mul(ring, mat_mul(ring, B, mid_inv), Cr))
 
 
 def _bc_corner(a: RingValue, frame: CornerFrame) -> RingValue:
@@ -225,7 +228,7 @@ def _bc_corner(a: RingValue, frame: CornerFrame) -> RingValue:
         if sol is None:
             raise InverseAbsent("corner equations are inconsistent")
         W = sol.reshape(ring.k, ring.k)
-        return frame.b * ring.element(W) * frame.c
+        return frame.b * _wrap(ring, W) * frame.c
     if ring.is_finite and ring.size <= ENUM_CAP:
         M = q * a * p
         for w in ring.elements():
@@ -272,7 +275,7 @@ def build_v(frame: CornerFrame) -> RingValue:
     _, Cr = rank_factorization(frame.c)
     if B.shape[1] != Cr.shape[0]:
         raise InverseAbsent("rank(b) differs from rank(c): no carrier exists")
-    return ring.element(mat_mul(ring, B, Cr))
+    return _wrap(ring, mat_mul(ring, B, Cr))
 
 
 def group_inverse(x: RingValue) -> RingValue:
@@ -292,7 +295,7 @@ def group_inverse(x: RingValue) -> RingValue:
         if core_inv is None:
             raise InverseAbsent("rank(x*x) < rank(x): no group inverse")
         out = mat_mul(ring, mat_mul(ring, F, mat_mul(ring, core_inv, core_inv)), G)
-        return ring.element(out)
+        return _wrap(ring, out)
     try:
         g = canonical_inner_inverse(x)
     except NotRegular as exc:
@@ -383,7 +386,7 @@ def ats_outer_inverse(A: RingValue, T, S) -> RingValue:
     mid_inv = mat_inv(ring, mid)
     if mid_inv is None:
         raise InverseAbsent("A(T) does not complement S: singular core")
-    return ring.element(mat_mul(ring, mat_mul(ring, T, mid_inv), C))
+    return _wrap(ring, mat_mul(ring, mat_mul(ring, T, mid_inv), C))
 
 
 def unit_consistency(a: RingValue, frame: CornerFrame) -> bool:

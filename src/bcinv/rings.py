@@ -229,40 +229,37 @@ class RingValue:
             return self.ring.scalar(other)
         return NotImplemented
 
+    def _sum(self, out) -> "RingValue":
+        """Value of a raw entrywise sum or difference, reduced on the finite rings."""
+        if self.ring.kind == MODULAR:
+            return RingValue(self.ring, out % self.ring.n)
+        if self.ring.kind == PRIME_MATRIX:
+            out = out % self.ring.p
+        out.setflags(write=False)
+        return RingValue(self.ring, out)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.ring.kind == MODULAR:
-            return RingValue(self.ring, (self.payload + other.payload) % self.ring.n)
-        out = self.payload + other.payload
-        if self.ring.kind == PRIME_MATRIX:
-            out = out % self.ring.p
-        out.setflags(write=False)
-        return RingValue(self.ring, out)
+        return self._sum(self.payload + other.payload)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring.kind == MODULAR:
-            return RingValue(self.ring, (-self.payload) % self.ring.n)
-        out = -self.payload
-        if self.ring.kind == PRIME_MATRIX:
-            out = out % self.ring.p
-        out.setflags(write=False)
-        return RingValue(self.ring, out)
+        return self._sum(-self.payload)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._sum(self.payload - other.payload)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -270,9 +267,11 @@ class RingValue:
             return NotImplemented
         if self.ring.kind == MODULAR:
             return RingValue(self.ring, (self.payload * other.payload) % self.ring.n)
-        out = self.payload @ other.payload
-        if self.ring.kind == PRIME_MATRIX:
-            out = out % self.ring.p
+        if self.ring.kind == FLOAT_MATRIX:
+            out = self.payload @ other.payload
+        else:
+            out = np.array(xla.matmul(self.payload.tolist(), other.payload.tolist(),
+                                      self.ring.p), dtype=object)
         out.setflags(write=False)
         return RingValue(self.ring, out)
 
@@ -313,7 +312,11 @@ class RingValue:
         raise TypeError("float matrices have no canonical key")
 
     def is_zero(self) -> bool:
-        return self == self.ring.zero()
+        if self.ring.kind == MODULAR:
+            return self.payload == 0
+        if self.ring.kind == FLOAT_MATRIX:
+            return self == self.ring.zero()
+        return not any(self.payload.flat)
 
     def transpose(self) -> "RingValue":
         if self.ring.kind == MODULAR:
@@ -363,32 +366,37 @@ def is_idempotent(x: RingValue) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _field(ring: RingDescriptor):
-    if ring.kind == PRIME_MATRIX:
-        return xla.GFp(ring.p)
-    if ring.kind == RATIONAL_MATRIX:
-        return xla.QQ()
-    raise PreconditionFailed(f"{ring.name} has no exact field")
+def _field(ring: RingDescriptor) -> int:
+    """The kernel's field argument: p for MFp, 0 for Q."""
+    if ring.kind not in (PRIME_MATRIX, RATIONAL_MATRIX):
+        raise PreconditionFailed(f"{ring.name} has no exact field")
+    return ring.p
 
 
 def _to_lists(arr) -> list:
     # tolist() yields native Python scalars (three-arg pow rejects np.int64).
-    out = np.asarray(arr).tolist()
-    return [list(row) for row in out]
+    return np.asarray(arr).tolist()
 
 
-def _from_lists(rows, shape=None) -> np.ndarray:
-    if not rows or (rows and not rows[0]):
-        m = len(rows)
-        n = len(rows[0]) if rows else (shape[1] if shape else 0)
-        if shape is not None:
-            m, n = shape
-        return np.empty((m, n), dtype=object)
-    out = np.empty((len(rows), len(rows[0])), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            out[i, j] = v
-    return out
+def _from_lists(rows, shape) -> np.ndarray:
+    if 0 in shape:
+        return np.empty(shape, dtype=object)
+    return np.array(rows, dtype=object)
+
+
+def _wrap(ring: RingDescriptor, arr: np.ndarray) -> RingValue:
+    """Ring value holding a fresh result of the backend linear algebra.
+
+    Exact results already hold canonical entries (Fractions, or ints in
+    [0, p)), so they are adopted as they are instead of converted again.
+    """
+    if ring.kind == FLOAT_MATRIX:
+        return ring.element(arr)
+    if arr.shape != (ring.k, ring.k):
+        raise DimensionMismatch(
+            f"expected a {ring.k}x{ring.k} matrix, got shape {arr.shape}")
+    arr.setflags(write=False)
+    return RingValue(ring, arr)
 
 
 def _spectral_norm(arr: np.ndarray) -> float:
@@ -415,14 +423,19 @@ def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = No
 def mat_rank(ring: RingDescriptor, arr: np.ndarray) -> int:
     if ring.kind == FLOAT_MATRIX:
         return _float_rank(ring, np.asarray(arr, dtype=float))
-    return xla.rank(_field(ring), _to_lists(arr))
+    return xla.rank(_to_lists(arr), _field(ring))
 
 
 def mat_mul(ring: RingDescriptor, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    out = np.asarray(A) @ np.asarray(B)
-    if ring.kind == PRIME_MATRIX:
-        out = out % ring.p
-    return out
+    A, B = np.asarray(A), np.asarray(B)
+    if ring.kind == FLOAT_MATRIX:
+        return A @ B
+    if A.shape[1] != B.shape[0]:
+        raise ValueError(f"matmul: shapes {A.shape} and {B.shape} do not align")
+    shape = (A.shape[0], B.shape[1])
+    if A.shape[1] == 0:
+        return np.full(shape, Fraction(0) if ring.kind == RATIONAL_MATRIX else 0, dtype=object)
+    return _from_lists(xla.matmul(A.tolist(), B.tolist(), _field(ring)), shape)
 
 
 def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
@@ -439,11 +452,9 @@ def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         # No equations: every vector solves them.  (The list kernel cannot
         # see the column count of a matrix without rows.)
         n = arr.shape[1]
-        return _from_lists(xla.identity(_field(ring), n), shape=(n, n))
-    vecs = xla.null_space(_field(ring), _to_lists(arr))
-    if not vecs:
-        return np.empty((arr.shape[1], 0), dtype=object)
-    return _from_lists(xla.transpose(vecs))
+        return _from_lists(xla.identity(n, _field(ring)), (n, n))
+    vecs = xla.null_space(_to_lists(arr), _field(ring))
+    return _from_lists(xla.transpose(vecs), (arr.shape[1], len(vecs)))
 
 
 def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
@@ -456,8 +467,8 @@ def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
         r = _float_rank(ring, arr, s)
         return u[:, :r].copy()
-    B, _ = xla.rank_factorization(_field(ring), _to_lists(arr))
-    return _from_lists(B, shape=(arr.shape[0], 0))
+    B, C = xla.rank_factorization(_to_lists(arr), _field(ring))
+    return _from_lists(B, (arr.shape[0], len(C)))
 
 
 def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
@@ -473,11 +484,10 @@ def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
         if resid > math.sqrt(ring.rank_tol) * scale:
             return None
         return X
-    return_shape = (A.shape[1], B.shape[1])
-    X = xla.solve(_field(ring), _to_lists(A), _to_lists(B))
+    X = xla.solve(_to_lists(A), _to_lists(B), _field(ring))
     if X is None:
         return None
-    return _from_lists(X, shape=return_shape)
+    return _from_lists(X, (A.shape[1], B.shape[1]))
 
 
 def mat_inv(ring: RingDescriptor, A: np.ndarray):
@@ -492,10 +502,10 @@ def mat_inv(ring: RingDescriptor, A: np.ndarray):
         if _float_rank(ring, A) < A.shape[0]:
             return None
         return np.linalg.inv(A)
-    inv = xla.inverse(_field(ring), _to_lists(A))
+    inv = xla.inverse(_to_lists(A), _field(ring))
     if inv is None:
         return None
-    return _from_lists(inv)
+    return _from_lists(inv, A.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +531,7 @@ def invert(x: RingValue) -> RingValue:
     inv = mat_inv(ring, x.payload)
     if inv is None:
         raise NotInvertible("matrix is singular")
-    return ring.element(inv)
+    return _wrap(ring, inv)
 
 
 def is_right_invertible(x: RingValue) -> bool:
@@ -550,9 +560,8 @@ def rank_factorization(x: RingValue):
         B = u[:, :r] * s[:r]
         C = vh[:r, :].copy()
         return B, C
-    B, C = xla.rank_factorization(_field(ring), _to_lists(x.payload))
-    return (_from_lists(B, shape=(ring.k, 0)),
-            _from_lists(C, shape=(0, ring.k)))
+    B, C = xla.rank_factorization(_to_lists(x.payload), _field(ring))
+    return _from_lists(B, (ring.k, len(C))), _from_lists(C, (len(C), ring.k))
 
 
 def canonical_inner_inverse(b: RingValue) -> RingValue:
@@ -582,11 +591,11 @@ def canonical_inner_inverse(b: RingValue) -> RingValue:
         g = (vh[:r, :].T / s[:r]) @ u[:, :r].T
         return ring.element(g)
     field = _field(ring)
-    B, C = xla.rank_factorization(field, _to_lists(b.payload))
-    if not B or not B[0]:
+    B, C = xla.rank_factorization(_to_lists(b.payload), field)
+    if not C:
         return ring.zero()
-    g = xla.matmul(field, xla.right_inverse(field, C), xla.left_inverse(field, B))
-    return ring.element(_from_lists(g))
+    g = xla.matmul(xla.right_inverse(C, field), xla.left_inverse(B, field), field)
+    return _wrap(ring, _from_lists(g, (ring.k, ring.k)))
 
 
 def normalized_inner_inverse(b: RingValue, w: RingValue) -> RingValue:

@@ -7,6 +7,8 @@ so they can arbitrate what the library computes.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from bcinv import CornerFrame, RingDescriptor
@@ -142,3 +144,96 @@ def hard_instances() -> list[tuple[str, object, CornerFrame]]:
             out.append((f"p != q {len(out)} (n={n})", a,
                         CornerFrame.from_idempotents(frame.p, frame.q)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference elimination: Gauss-Jordan on Fractions (p = 0) or on residues
+# mod a prime p, one scalar operation at a time.  This is the loop the exact
+# backends ran before their integer kernel, kept as an oracle for it.
+# ---------------------------------------------------------------------------
+
+
+def _ref_scalar(v, p):
+    return v % p if p else Fraction(v)
+
+
+def _ref_inv(v, p):
+    return pow(v, p - 2, p) if p else 1 / v
+
+
+def ref_rref(M, p=0):
+    """(R, pivots, E) with E*M = R and E invertible (m x m)."""
+    m = len(M)
+    n = len(M[0]) if m else 0
+    R = [[_ref_scalar(v, p) for v in row] for row in M]
+    E = [[_ref_scalar(int(i == j), p) for j in range(m)] for i in range(m)]
+
+    def combine(v, f, w):
+        return (v - f * w) % p if p else v - f * w
+
+    pivots = []
+    row = 0
+    for col in range(n):
+        pivot = next((r for r in range(row, m) if R[r][col] != 0), None)
+        if pivot is None:
+            continue
+        R[row], R[pivot] = R[pivot], R[row]
+        E[row], E[pivot] = E[pivot], E[row]
+        scale = _ref_inv(R[row][col], p)
+        R[row] = [_ref_scalar(scale * v, p) for v in R[row]]
+        E[row] = [_ref_scalar(scale * v, p) for v in E[row]]
+        for r in range(m):
+            if r != row and R[r][col] != 0:
+                factor = R[r][col]
+                R[r] = [combine(v, factor, w) for v, w in zip(R[r], R[row])]
+                E[r] = [combine(v, factor, w) for v, w in zip(E[r], E[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return R, pivots, E
+
+
+def ref_null_space(M, p=0):
+    n = len(M[0]) if M else 0
+    R, pivots, _ = ref_rref(M, p)
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        vec = [_ref_scalar(int(i == j), p) for i in range(n)]
+        for i, pc in enumerate(pivots):
+            vec[pc] = _ref_scalar(-R[i][j], p)
+        basis.append(vec)
+    return basis
+
+
+def ref_solve(A, B, p=0):
+    n = len(A[0]) if A else 0
+    w = len(B[0]) if B else 0
+    R, pivots, _ = ref_rref([a + b for a, b in zip(A, B)], p)
+    if any(pc >= n for pc in pivots):
+        return None
+    X = [[_ref_scalar(0, p)] * w for _ in range(n)]
+    for i, pc in enumerate(pivots):
+        X[pc] = R[i][n:]
+    return X
+
+
+def ref_inverse(A, p=0):
+    _, pivots, E = ref_rref(A, p)
+    return E if len(pivots) == len(A) else None
+
+
+def ref_rank_factorization(A, p=0):
+    R, pivots, _ = ref_rref(A, p)
+    return [[row[pc] for pc in pivots] for row in A], R[:len(pivots)]
+
+
+def ref_left_inverse(B, p=0):
+    """The pivot rows of E for a full-column-rank B."""
+    _, pivots, E = ref_rref(B, p)
+    assert len(pivots) == len(B[0])
+    return E[:len(pivots)]
+
+
+def ref_right_inverse(C, p=0):
+    return [list(col) for col in zip(*ref_left_inverse([list(c) for c in zip(*C)], p))]
