@@ -8,6 +8,7 @@ implicit proof; `verify_bc_inverse` exposes that certificate directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,9 +168,10 @@ def bc_inverse(a: RingValue, frame: CornerFrame, method: str | None = None) -> R
     method: factor (rank factorizations of b and c with an invertible
     core; the default on matrix backends), group (v times the group
     inverse of a*v; the default on Zn, where v = p), corner (solve the two
-    corner equations for z = b*w*c) or exhaustive (finite scan).  corner
-    and exhaustive are cross-checks.  All methods agree whenever the
-    inverse exists.
+    corner equations for z = b*w*c: a linear system on matrix backends,
+    one linear congruence on Zn) or exhaustive (a scan of the finite ring,
+    the only element scan, capped in ring size).  corner and exhaustive
+    are cross-checks.  All methods agree whenever the inverse exists.
     """
     if a.ring != frame.ring:
         raise RingMismatch("element and frame live in different rings")
@@ -229,14 +231,20 @@ def _bc_corner(a: RingValue, frame: CornerFrame) -> RingValue:
             raise InverseAbsent("corner equations are inconsistent")
         W = sol.reshape(ring.k, ring.k)
         return frame.b * _wrap(ring, W) * frame.c
-    if ring.is_finite and ring.size <= ENUM_CAP:
-        M = q * a * p
-        for w in ring.elements():
-            z = frame.b * w * frame.c
-            if z * M == p and M * z == q:
-                return z
-        raise InverseAbsent("no corner element satisfies the two equations")
-    raise CapExceeded(f"{ring.name} supports no corner search")
+    # Zn: z = b*w*c turns z*M = p into one linear congruence
+    # (b*c*M)*w = p (mod n), solvable iff d = gcd(b*c*M, n) divides p; the
+    # solutions form one class modulo n/d.  M*z = q is checked afterwards.
+    M = q * a * p
+    n = ring.n
+    coeff = frame.b.payload * frame.c.payload * M.payload % n
+    d = math.gcd(coeff, n)
+    if p.payload % d:
+        raise InverseAbsent("no corner element satisfies z*(q*a*p) = p")
+    w = p.payload // d * pow(coeff // d, -1, n // d)
+    z = frame.b * ring.element(w) * frame.c
+    if not (M * z == q):
+        raise InverseAbsent("the corner element fails (q*a*p)*z = q")
+    return z
 
 
 def _bc_group(a: RingValue, frame: CornerFrame) -> RingValue:
@@ -324,31 +332,38 @@ def _outer_inverse_matching(a: RingValue, b: RingValue, c: RingValue,
                             b_side: str) -> RingValue:
     """Outer inverse y of a whose b_side ideal is b's and whose right kernel is c's.
 
-    Zn searches the ring.  Over a field the image and the left annihilator
-    of b both pin the column space of y to that of b, so the
-    prescribed-subspace construction applies to either side.
+    Over a field the image and the left annihilator of b both pin the
+    column space of y to that of b, so the prescribed-subspace construction
+    applies to either side.
+
+    Zn takes the (b,c)-inverse.  Each ideal of x on Zn fixes gcd(x, n)
+    (see `ideal`), so a match has gcd(y, n) = gcd(b, n) = gcd(c, n), that
+    is yR = bR = cR.  Writing b = y*r and y = b*s, the outer equation
+    y*a*y = y gives b = y*a*b = b*(s*a)*b, so b is regular, and likewise c.
+    Commutativity then gives the defining equations: y = (y*a)*y with y*a
+    in bR puts y in bRy, y = y*(a*y) with a*y in cR puts y in yRc, and
+    b, c in yR give y*a*b = b and c*a*y = c.  Conversely the (b,c)-inverse
+    has yR = bR and Ry = Rc, so it matches.  The hybrid and annihilator
+    inverses are thus the (b,c)-inverse, and none exists for non-regular
+    b or c.
     """
     ring = a.ring
     if b.ring != ring or c.ring != ring:
         raise RingMismatch("operands live in different rings")
     b_ideal = ideal(b, b_side)
     c_kernel = ideal(c, "kernel-right")
-
-    def matches(y: RingValue) -> bool:
-        return ideal(y, b_side) == b_ideal and ideal(y, "kernel-right") == c_kernel
-
-    if not ring.is_matrix:
-        if ring.size > ENUM_CAP:
-            raise CapExceeded(f"{ring.name} exceeds the enumeration cap")
-        for y in ring.elements():
-            if y * a * y == y and matches(y):
-                return y
-        raise InverseAbsent(f"no outer inverse matches the {b_side} and kernel-right ideals")
-    try:
-        y = ats_outer_inverse(a, ideal(b, "image-right").basis, c_kernel.basis)
-    except DimensionMismatch as exc:
-        raise InverseAbsent(str(exc)) from exc
-    if not matches(y):
+    if ring.is_matrix:
+        try:
+            y = ats_outer_inverse(a, ideal(b, "image-right").basis, c_kernel.basis)
+        except DimensionMismatch as exc:
+            raise InverseAbsent(str(exc)) from exc
+    else:
+        try:
+            frame = CornerFrame.make(b, c)
+        except NotRegular as exc:
+            raise InverseAbsent(f"no outer inverse: {exc}") from exc
+        y = bc_inverse(a, frame)
+    if not (ideal(y, b_side) == b_ideal and ideal(y, "kernel-right") == c_kernel):
         raise InverseAbsent("constructed inverse misses the prescribed ideals")
     return y
 

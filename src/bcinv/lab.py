@@ -14,6 +14,7 @@ exceeds about n³ cells.  Counts and counterexamples are exact Python ints,
 `examined` adds up the cells actually compared, and counterexamples are
 reported sorted.  The four suites certify M2(F3) (81 elements, 43,046,721
 equivalence tuples) in about 2 s, where the loop-based sweeps took minutes.
+`size_cap` on the ring size is the one guard against a sweep too large.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import BcinvError, CapExceeded, PreconditionFailed
 from .rings import RingDescriptor
 
 DEFAULT_RING_CAP = 16
-DEFAULT_OP_CAP = 10 ** 8
 
 DEFAULT_RINGS = (
     RingDescriptor.modular(4),
@@ -201,13 +201,8 @@ def _cells(mask: np.ndarray) -> list[list[int]]:
     return np.argwhere(mask).tolist() if mask.any() else []
 
 
-def _check_op_budget(estimated: int, op_cap: int) -> None:
-    if estimated > op_cap:
-        raise CapExceeded(f"estimated {estimated} elementary operations exceed {op_cap}")
-
-
-def verify_equivalence_suite(ring: RingDescriptor, size_cap: int = DEFAULT_RING_CAP,
-                             op_cap: int = DEFAULT_OP_CAP) -> LabReport:
+def verify_equivalence_suite(ring: RingDescriptor,
+                             size_cap: int = DEFAULT_RING_CAP) -> LabReport:
     """Sixteen ideal/annihilator characterizations of one outer inverse.
 
     Sweeps every (a, b, c, y); statements s01-s04 must agree for every
@@ -220,7 +215,6 @@ def verify_equivalence_suite(ring: RingDescriptor, size_cap: int = DEFAULT_RING_
     """
     t = RingTable(ring, size_cap)
     n = t.n
-    _check_op_budget(40 * n ** 4, op_cap)
     mul, ys = t.mul, np.arange(n)
     regular = np.array([bool(g) for g in t.inner])
     outer = mul[mul.T, ys] == ys                 # [a, y]: y·a·y = y
@@ -348,8 +342,8 @@ def _frame_findings(t: RingTable, maps: np.ndarray, units: dict, inv: np.ndarray
     return out
 
 
-def verify_set_decomposition(ring: RingDescriptor, size_cap: int = DEFAULT_RING_CAP,
-                             op_cap: int = DEFAULT_OP_CAP) -> LabReport:
+def verify_set_decomposition(ring: RingDescriptor,
+                             size_cap: int = DEFAULT_RING_CAP) -> LabReport:
     """Invertible-element set = corner units + invariant complement.
 
     For every regular pair (b, c) and every corner-idempotent pair (p, q)
@@ -363,7 +357,6 @@ def verify_set_decomposition(ring: RingDescriptor, size_cap: int = DEFAULT_RING_
     """
     t = RingTable(ring, size_cap)
     n = t.n
-    _check_op_budget(60 * n ** 4, op_cap)
     mul = t.mul
     maps = _all_inverse_maps(t)
     regular = [c for c in range(n) if t.inner[c]]
@@ -394,8 +387,8 @@ def verify_set_decomposition(ring: RingDescriptor, size_cap: int = DEFAULT_RING_
     return report.finish()
 
 
-def verify_bott_duffin_section(ring: RingDescriptor, size_cap: int = DEFAULT_RING_CAP,
-                               op_cap: int = DEFAULT_OP_CAP) -> LabReport:
+def verify_bott_duffin_section(ring: RingDescriptor,
+                               size_cap: int = DEFAULT_RING_CAP) -> LabReport:
     """Split-sum equivalence, block equations and frame reduction.
 
     Part 1: over all idempotent pairs (p, q) and all a with a*p = q*a,
@@ -407,7 +400,6 @@ def verify_bott_duffin_section(ring: RingDescriptor, size_cap: int = DEFAULT_RIN
     t = RingTable(ring, size_cap)
     n = t.n
     idem = np.array(t.idempotents)
-    _check_op_budget(10 * (len(idem) ** 2) * n * n + 20 * n ** 3, op_cap)
     mul, add, ys = t.mul, t.add, np.arange(n)
     maps = _all_inverse_maps(t)
     comp = _complements(t, idem)
@@ -495,22 +487,21 @@ def _reverse_order_cells(t: RingTable, maps: np.ndarray, b1, c1, b2, c2, q1, cp1
         yield s, valid, condition, law
 
 
-def verify_reverse_order(ring: RingDescriptor, size_cap: int = DEFAULT_RING_CAP,
-                         op_cap: int = DEFAULT_OP_CAP,
-                         full_frames: bool | None = None) -> LabReport:
+def verify_reverse_order(ring: RingDescriptor,
+                         size_cap: int = DEFAULT_RING_CAP) -> LabReport:
     """Zero chain obstruction iff the product inverse reverses.
 
     Frames are swept through their corner idempotents (p1, q1, p2) with the
     chain q2 = p1; this covers every inner-inverse choice because both the
     obstruction and every inverse involved depend on the frame only through
-    (b*g, h*c).  For tiny rings an additional literal sweep over all
-    (b, g, c, h) tuples cross-checks that reduction; it evaluates each
-    (b, b*g, c, h*c) combination once and counts it for every (g, h) giving it.
+    (b*g, h*c).  For rings of at most 8 elements an additional literal
+    sweep over all (b, g, c, h) tuples cross-checks that reduction; it
+    evaluates each (b, b*g, c, h*c) combination once and counts it for
+    every (g, h) giving it.
     """
     t = RingTable(ring, size_cap)
     n = t.n
     idem = np.array(t.idempotents)
-    _check_op_budget(10 * len(idem) ** 3 * n * n, op_cap)
     maps = _all_inverse_maps(t)
     comp = _complements(t, idem)
     report = LabReport(ring.name, "reverse-order-law",
@@ -530,10 +521,8 @@ def verify_reverse_order(ring: RingDescriptor, size_cap: int = DEFAULT_RING_CAP,
             report.counterexamples.append(
                 ("obstruction-iff", int(p1[k]), int(q1[k]), int(p2[k]), a1, a2))
 
-    if full_frames is None:
-        full_frames = n <= 8
     literal_cases = 0
-    if full_frames:
+    if n <= 8:
         # frames (b, g) enter only through p = b·g, and (c, h) through q = h·c
         lframes: dict[tuple[int, int], list[int]] = {}
         rframes: dict[tuple[int, int], list[int]] = {}

@@ -2,7 +2,7 @@
 
 Four concrete backends share one element type:
 
-* ``Zn``  -- integers modulo n (exact, finite, enumerable),
+* ``Zn``  -- integers modulo n (exact, finite; answered by gcd closed forms),
 * ``MFp`` -- k x k matrices over the prime field F_p (exact, finite),
 * ``Q``   -- k x k matrices with rational entries (exact),
 * ``R``   -- k x k float matrices with tolerance-based equality.
@@ -38,20 +38,28 @@ FLOAT_MATRIX = "R"
 DEFAULT_FLOAT_TOL = 1e-9
 DEFAULT_RANK_TOL = 1e-10
 
-# Element scans (the exhaustive and corner cross-checks) are only attempted
-# below this ring size; it also bounds the element sets of Zn ideals.
+# The exhaustive cross-check, the one element scan outside the lab tables,
+# is only attempted below this ring size.
 ENUM_CAP = 65536
 
 _IDEAL_SIDES = ("image-right", "image-left", "kernel-right", "kernel-left")
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86(304), 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(math.isqrt(p)) + 1):
-        if p % d == 0:
-            return False
-    return True
+    """Deterministic Miller-Rabin test; ValueError at or above _MR_LIMIT."""
+    if p >= _MR_LIMIT:
+        raise ValueError(f"{p} is too large for the deterministic primality test")
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1      # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    return all(pow(q, d, p) == 1 or any(pow(q, d << i, p) == p - 1 for i in range(s))
+               for q in _MR_BASES)
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,6 @@ class RingDescriptor:
     @property
     def is_matrix(self) -> bool:
         return self.kind in (PRIME_MATRIX, RATIONAL_MATRIX, FLOAT_MATRIX)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.kind != FLOAT_MATRIX
 
     @property
     def size(self) -> int:
@@ -289,12 +293,6 @@ class RingValue:
         elif other.ring != self.ring:
             return False
         return values_equal(self, other)
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
 
     def __hash__(self):
         return hash(self.key())
@@ -542,10 +540,9 @@ def is_right_invertible(x: RingValue) -> bool:
     return mat_rank(ring, x.payload) == ring.k
 
 
-def is_left_invertible(x: RingValue) -> bool:
-    if x.ring.kind == MODULAR:
-        return is_right_invertible(x)
-    return mat_rank(x.ring, x.payload) == x.ring.k
+# Zn is commutative and a square matrix with a right inverse has full rank,
+# so one-sided invertibility is two-sided on every backend.
+is_left_invertible = is_right_invertible
 
 
 def rank_factorization(x: RingValue):
@@ -613,38 +610,35 @@ def normalized_inner_inverse(b: RingValue, w: RingValue) -> RingValue:
 class Ideal:
     """One image or kernel ideal of a fixed element.
 
-    Zn stores the explicit element set; matrix backends store a basis of
-    the subspace that characterizes membership (column space, row space,
-    right null space or left null space).
+    Zn stores the divisor d of n that generates the ideal dR; matrix
+    backends store a basis of the subspace that characterizes membership
+    (column space, row space, right null space or left null space).
     """
 
     def __init__(self, ring: RingDescriptor, side: str,
-                 elements: frozenset | None = None, basis: np.ndarray | None = None):
+                 generator: int | None = None, basis: np.ndarray | None = None):
         if side not in _IDEAL_SIDES:
             raise ValueError(f"unknown ideal side {side!r}")
         self.ring = ring
         self.side = side
-        self.elements = elements
+        self.generator = generator
         self.basis = basis
 
     def dim(self) -> int:
         if self.basis is None:
-            raise PreconditionFailed("finite-set ideal has no dimension")
+            raise PreconditionFailed("Zn ideal has no dimension")
         return self.basis.shape[1]
-
-    def _char_columns(self, value: RingValue) -> np.ndarray:
-        # Membership of m reduces to containment of these columns in the
-        # span of the stored basis.
-        if self.side in ("image-right", "kernel-right"):
-            return np.asarray(value.payload)
-        return np.asarray(value.transpose().payload)
 
     def contains(self, value: RingValue) -> bool:
         if value.ring != self.ring:
             raise RingMismatch("value belongs to a different ring")
-        if self.elements is not None:
-            return value.key() in self.elements
-        cols = self._char_columns(value)
+        if self.generator is not None:
+            return value.payload % self.generator == 0
+        # Membership reduces to containment of the columns of m (right
+        # sides) or of m^T (left sides) in the span of the stored basis.
+        if self.side.endswith("left"):
+            value = value.transpose()
+        cols = np.asarray(value.payload)
         stacked = np.hstack([self.basis, cols]) if self.basis.size else cols
         return mat_rank(self.ring, stacked) == mat_rank(self.ring, self.basis)
 
@@ -656,8 +650,8 @@ class Ideal:
 
     def issubset(self, other: "Ideal") -> bool:
         self._comparable(other)
-        if self.elements is not None:
-            return self.elements <= other.elements
+        if self.generator is not None:
+            return self.generator % other.generator == 0
         stacked = np.hstack([other.basis, self.basis])
         return mat_rank(self.ring, stacked) == mat_rank(self.ring, other.basis)
 
@@ -665,13 +659,13 @@ class Ideal:
         if not isinstance(other, Ideal):
             return NotImplemented
         self._comparable(other)
-        if self.elements is not None:
-            return self.elements == other.elements
+        if self.generator is not None:
+            return self.generator == other.generator
         return self.issubset(other) and other.issubset(self)
 
     def __repr__(self):
-        if self.elements is not None:
-            return f"<Ideal {self.side} |{len(self.elements)}| in {self.ring.name}>"
+        if self.generator is not None:
+            return f"<Ideal {self.side} {self.generator % self.ring.n}R in {self.ring.name}>"
         return f"<Ideal {self.side} dim {self.dim()} in {self.ring.name}>"
 
 
@@ -683,12 +677,9 @@ def ideal(x: RingValue, side: str) -> Ideal:
     if ring.kind == MODULAR:
         # With d = gcd(x, n): d = u*x + v*n (Bezout), so xR = Rx = dR; and
         # x*m = 0 (mod n) iff n/d | (x/d)*m iff n/d | m, so both kernels
-        # are (n/d)R.
+        # are (n/d)R.  For divisors d, e of n, dR is inside eR iff e | d.
         d = math.gcd(x.payload, ring.n)
-        step = d if side.startswith("image") else ring.n // d
-        if ring.n // step > ENUM_CAP:
-            raise CapExceeded(f"{side} ideal of {x!r} has {ring.n // step} elements")
-        return Ideal(ring, side, elements=frozenset(range(0, ring.n, step)))
+        return Ideal(ring, side, generator=d if side.startswith("image") else ring.n // d)
     arr = np.asarray(x.payload)
     if side == "image-right":
         basis = mat_col_basis(ring, arr)

@@ -12,8 +12,11 @@ sees the fault.
 from __future__ import annotations
 
 from bcinv.errors import BcinvError, CapExceeded, PreconditionFailed
-from bcinv.lab import DEFAULT_OP_CAP, DEFAULT_RING_CAP, LabReport
+from bcinv.lab import DEFAULT_RING_CAP, LabReport
 from bcinv.rings import RingDescriptor
+
+# The loop engine's own budget of elementary operations per suite.
+DEFAULT_OP_CAP = 10 ** 8
 
 
 class LoopTable:

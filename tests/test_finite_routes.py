@@ -30,6 +30,12 @@ from helpers import zn_bc_inverse, zn_group_inverse, zn_inner_inverses
 SIDES = ("image-right", "image-left", "kernel-right", "kernel-left")
 
 
+def _members(ideal_):
+    """The residues in ideal_, found by testing every one."""
+    ring = ideal_.ring
+    return {m for m in range(ring.n) if ideal_.contains(ring.element(m))}
+
+
 def _or_none(fn, *args):
     try:
         return fn(*args).payload
@@ -53,7 +59,7 @@ def test_zn_inner_group_and_ideals_match_definitions():
             kernel = frozenset(m for m in range(n) if (x * m) % n == 0)
             for side in SIDES:
                 expected = image if side.startswith("image") else kernel
-                assert ideal(value, side).elements == expected
+                assert _members(ideal(value, side)) == expected
 
 
 def test_zn_default_route_matches_oracle():
@@ -64,8 +70,10 @@ def test_zn_default_route_matches_oracle():
             for c in regular:
                 frame = CornerFrame.make(ring.element(b), ring.element(c))
                 for a in range(n):
-                    assert _or_none(bc_inverse, ring.element(a), frame) \
-                        == zn_bc_inverse(n, a, b, c), (n, a, b, c)
+                    expected = zn_bc_inverse(n, a, b, c)
+                    for method in (None, "corner"):
+                        assert _or_none(bc_inverse, ring.element(a), frame, method) \
+                            == expected, (n, a, b, c, method)
 
 
 def test_zn_hybrid_and_annihilator_match_oracle():
@@ -100,21 +108,25 @@ def test_zn_above_enumeration_cap():
         bc_inverse(ring.element(2), frame)
     # x^# = 29 (mod 32) and 0 (mod 5^5): 3125 * 9 = 28125.
     assert group_inverse(b).payload == 28125
-    assert len(ideal(b, "image-right").elements) == 32
-    assert len(ideal(b, "kernel-left").elements) == 3125
-    with pytest.raises(CapExceeded):                # a set of all 100000 residues
-        ideal(ring.one(), "image-right")
+    assert _members(ideal(b, "image-right")) == set(range(0, n, 3125))     # 32 residues
+    assert _members(ideal(b, "kernel-left")) == set(range(0, n, 32))        # 3125 residues
+    assert _members(ideal(ring.one(), "image-right")) == set(range(n))
+    # The hybrid, annihilator and corner routes agree with the default one.
+    three = ring.element(3)
+    assert hybrid_inverse(three, b, b).payload == 96875
+    assert annihilator_inverse(three, b, b).payload == 96875
+    y = bc_inverse(three, frame, "corner")
+    assert y.payload == 96875
+    assert verify_bc_inverse(three, frame, y).verdict
     # c = 32 gives q = 1 mod 5^5, 0 mod 32, so p != q and no inverse exists.
     mixed = CornerFrame.make(b, ring.element(32))
     with pytest.raises(InverseAbsent):
         build_v(mixed)
     with pytest.raises(InverseAbsent):
         bc_inverse(ring.element(3), mixed)
-    # The definitional searches stay capped.
+    # Only the definitional scan stays capped.
     with pytest.raises(CapExceeded):
         bc_inverse(ring.element(3), frame, "exhaustive")
-    with pytest.raises(CapExceeded):
-        hybrid_inverse(ring.element(3), b, b)
 
 
 def test_mfp_hybrid_and_annihilator_match_bc_inverse():
@@ -154,5 +166,8 @@ def test_production_routes_never_enumerate(monkeypatch, ring, a, b):
     y = bc_inverse(a, frame)
     assert verify_bc_inverse(a, frame, y).verdict
     assert y == build_v(frame) * group_inverse(a * build_v(frame))
+    assert bc_inverse(a, frame, "corner") == y
+    assert hybrid_inverse(a, b, b) == y
+    assert annihilator_inverse(a, b, b) == y
     for side in SIDES:
         assert ideal(b, side).contains(ring.zero())
