@@ -29,7 +29,7 @@ from .errors import (
     SpectralPreconditionFailed,
 )
 from .inverses import VERDICT_TOL, CornerFrame, bc_inverse, group_inverse
-from .rings import FLOAT_MATRIX, RingValue, _spectral_norm
+from .rings import FLOAT_MATRIX, RingValue, _kept_svd, _spectral_norm
 
 AGREE_TOL = 1e-8
 
@@ -45,8 +45,10 @@ _LIMIT_FLOOR_TOL = 1e-5
 _LIMIT_STEPS = 80
 _LIMIT_BLOWUP = 1e14
 
-# 1/phi, the step of the golden-section search in choose_beta.
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# choose_beta stops once its best value is within _BETA_GAP of a certified
+# lower bound on the minimum, and after _BETA_EVALS evaluations at most.
+_BETA_GAP = 1e-13
+_BETA_EVALS = 64
 
 
 def _require_float(*values: RingValue) -> None:
@@ -143,7 +145,7 @@ def integral_representation(a: RingValue, v: RingValue, tol: float = 1e-10) -> R
     _require_float(a, v)
     ring = a.ring
     vP = v.payload
-    nv = _spectral_norm(vP)
+    nv = v.norm()
     if nv == 0.0:
         return ring.zero()
     av = a.payload @ vP
@@ -179,11 +181,13 @@ def _doubling_sum(M: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """sum_{n >= 0} M^n v by doubling: S_2N = S_N + M^N S_N, M^2N = (M^N)^2.
 
     Stops at the first N = 2^m where the tail bound scale * |M^N v| reaches
-    _SERIES_TOL; the caller passes scale = |beta| / (1 - |M|).
+    _SERIES_TOL; the caller passes scale = |beta| / (1 - |M|).  The test
+    takes the Frobenius norm, an upper bound on the spectral one, so it
+    stops only where the spectral rule would.
     """
     total, power = v, M
     for _ in range(_SERIES_DOUBLINGS):
-        if scale * _spectral_norm(power @ v) <= _SERIES_TOL:
+        if scale * np.linalg.norm(power @ v) <= _SERIES_TOL:
             return total
         total = total + power @ total
         power = power @ power
@@ -197,7 +201,10 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     of v*a.  The sum runs over (p - beta v a)^n v, which equals
     (1 - beta v a)^n v because the complement of p annihilates v; that keeps
     the iteration a strict contraction.  Partial sums are doubled until the
-    tail bound |beta| |(p - beta v a)^N v| / (1 - r) falls below tolerance.
+    tail bound |beta| |(p - beta v a)^N v| / (1 - r) falls below tolerance;
+    that test takes |(p - beta v a)^N v| as its Frobenius norm, an upper
+    bound on the spectral one, so the sum stops only where the spectral
+    rule would.  r and the agreement check stay spectral.
     The mirrored form sum v (p' - beta a v)^n, with p' the group projection
     of a*v, is summed the same way on transposes, with the same tail bound
     because v (p' - beta a v)^n = (p - beta v a)^n v, and must agree.
@@ -237,13 +244,24 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
 
     Every beta with |p - beta v a| < 1 has |1 - beta mu| < 1 for each
     nonzero eigenvalue mu of v a, so it lies strictly between 0 and
-    2 Re mu / |mu|^2 for every mu.  The objective is the norm of an affine
-    function of beta, hence convex, so a golden-section search on the
-    intersection of those intervals, padded by 1e-3 of its width against
-    eigenvalue rounding, narrows a bracket of the minimum down to
-    1e-12 / |v a| (or four ulps of its ends, if larger) and returns its
-    better interior point.  When the intersection is empty or {0}, beta = 0
-    is evaluated instead; either way the norm at the returned point decides
+    2 Re mu / |mu|^2 for every mu.  The search runs on the intersection of
+    those intervals, padded by 1e-3 of its width against eigenvalue
+    rounding; when the intersection is empty or {0}, beta = 0 is taken.
+
+    With v a = U diag(s) W^T and r = trace p, the projection
+    p = (v a)(v a)^# = (v a)^# (v a) has the column space of U_r and the
+    row space of W_r^T, so |p - beta v a| = |C(beta)| for the r x r core
+    C(beta) = U_r^T p W_r - beta diag(s_r): a convex function of beta.
+    One SVD of the core gives its value sigma_1 and, from the top singular
+    pair, the subgradient -u_1^T diag(s_r) w_1.  A non-negative slope at
+    the lower end of the bracket returns that end, a non-positive slope at
+    the upper end returns that one; otherwise regula falsi on the slope,
+    with the Illinois halving, shrinks the bracket.  The supporting lines
+    at its two ends cross at a certified lower bound on the minimum
+    (Kelley's cutting plane), and the search stops once the best value
+    found is within _BETA_GAP of that bound, once the bracket is four ulps
+    wide, or after _BETA_EVALS evaluations, and returns the best point.
+    The norm of the full k x k matrix p - beta v a at that point decides
     the refusal.
     """
     return _choose_beta(a, v)[0]
@@ -255,45 +273,71 @@ def _choose_beta(a: RingValue, v: RingValue) -> tuple[float, np.ndarray | None]:
     The projection is None when v*a = 0, where none is computed.
     """
     _require_float(a, v)
-    ring = a.ring
-    va = v.payload @ a.payload
-    scale = _spectral_norm(va)
-    if scale == 0.0:
+    va_value = v * a
+    va = va_value.payload
+    u, s, vh = _kept_svd(va_value)
+    if s[0] == 0.0:
         return 1.0, None
     try:
-        p_va, _ = _group_projection(va, ring)
+        p_va = va @ group_inverse(va_value).payload     # reads the kept SVD
     except InverseAbsent as exc:
         raise PreconditionFailed(f"v*a is not group invertible: {exc}")
-
-    def objective(beta: float) -> float:
-        return _spectral_norm(p_va - beta * va)
-
     # the nonzero eigenvalues are the rank(p) = trace(p) largest in modulus
+    r = round(float(np.trace(p_va)))
     eigs = sorted(np.linalg.eigvals(va).tolist(), key=abs, reverse=True)
-    ends = [2.0 * mu.real / abs(mu) ** 2 for mu in eigs[:round(float(np.trace(p_va)))]]
+    ends = [2.0 * mu.real / abs(mu) ** 2 for mu in eigs[:r]]
     lo = max((min(e, 0.0) for e in ends), default=0.0)
     hi = min((max(e, 0.0) for e in ends), default=0.0)
-    if hi <= lo:
-        best, value = 0.0, objective(0.0)
-    else:
+    best = 0.0
+    if hi > lo:
         pad = 1e-3 * (hi - lo)
-        lo, hi = lo - pad, hi + pad
-        x1, x2 = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
-        f1, f2 = objective(x1), objective(x2)
-        # stop at 1e-12 / |v a|, or where the bracket reaches float resolution
-        while hi - lo > max(1e-12 / scale, 4.0 * math.ulp(max(-lo, hi))):
-            if f1 <= f2:
-                hi, x2, f2 = x2, x1, f1
-                x1 = hi - _INV_PHI * (hi - lo)
-                f1 = objective(x1)
-            else:
-                lo, x1, f1 = x1, x2, f2
-                x2 = lo + _INV_PHI * (hi - lo)
-                f2 = objective(x2)
-        best, value = (x1, f1) if f1 <= f2 else (x2, f2)
-    if value >= 1.0:
+        best = _slope_search(u[:, :r].T @ p_va @ vh[:r].T, s[:r], lo - pad, hi + pad)
+    if _spectral_norm(p_va - best * va) >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
-    return float(best), p_va
+    return best, p_va
+
+
+def _slope_search(core: np.ndarray, d: np.ndarray, lo: float, hi: float) -> float:
+    """The best point of [lo, hi] for |core - beta diag(d)|, as in choose_beta."""
+
+    def objective(beta: float) -> tuple[float, float]:
+        u, sigma, wh = np.linalg.svd(core - beta * np.diag(d))
+        return float(sigma[0]), -float(u[:, 0] @ (d * wh[0]))
+
+    f_lo, g_lo = objective(lo)
+    if g_lo >= 0.0:
+        return lo
+    f_hi, g_hi = objective(hi)
+    if g_hi <= 0.0:
+        return hi
+    best, f_best = (lo, f_lo) if f_lo <= f_hi else (hi, f_hi)
+    w_lo, w_hi = g_lo, g_hi         # the slopes regula falsi weighs, halved by Illinois
+    side = 0
+    for _ in range(_BETA_EVALS - 2):
+        # the supporting lines at lo and hi cross at a lower bound on the minimum
+        cross = (f_hi - f_lo + g_lo * lo - g_hi * hi) / (g_lo - g_hi)
+        if (f_best - (f_lo + g_lo * (cross - lo)) <= _BETA_GAP
+                or hi - lo <= 4.0 * math.ulp(max(-lo, hi))):
+            break
+        beta = (lo * w_hi - hi * w_lo) / (w_hi - w_lo)
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi)
+        f, g = objective(beta)
+        if f < f_best:
+            best, f_best = beta, f
+        if g == 0.0:
+            break
+        if g < 0.0:
+            lo, f_lo, g_lo, w_lo = beta, f, g, g
+            if side < 0:
+                w_hi *= 0.5
+            side = -1
+        else:
+            hi, f_hi, g_hi, w_hi = beta, f, g, g
+            if side > 0:
+                w_lo *= 0.5
+            side = 1
+    return best
 
 
 def limit_representation(a: RingValue, v: RingValue,
@@ -310,6 +354,14 @@ def limit_representation(a: RingValue, v: RingValue,
     differences turn upward, the best value so far is accepted provided it
     already reached _LIMIT_FLOOR_TOL.  Divergent resolvent growth is a
     failure.
+
+    The per-step tests take Frobenius norms, with |x|_F / sqrt(k) <= |x| <=
+    |x|_F, each in the direction that keeps the decision sound: the
+    relative difference is bounded from above by
+    |difference|_F / (1 + |estimate|_F / sqrt(k)), so both stop rules stop
+    only where the spectral rule would, and the blow-up test fires on
+    |resolvent|_F / sqrt(k), so only on a spectral norm above its limit.
+    The first step's two-sided agreement check stays spectral.
     """
     _require_float(a, v)
     ring = a.ring
@@ -317,7 +369,8 @@ def limit_representation(a: RingValue, v: RingValue,
     av = aP @ vP
     va = vP @ aP
     eye = np.eye(ring.k)
-    nv = _spectral_norm(vP)
+    root_k = math.sqrt(ring.k)
+    nv = v.norm()
     eigs = np.linalg.eigvals(av)
     nz = _nonzero_eigs(ring, eigs)
     if lambda0 is None:
@@ -338,14 +391,14 @@ def limit_representation(a: RingValue, v: RingValue,
             lam *= 0.5
             continue
         current = np.linalg.solve((lam * eye + av).T, vP.T).T
-        nc = _spectral_norm(current)
         if not lams:
             # The two-sided identity holds at every admissible lambda; assert
             # it here where the resolvent is still well conditioned.
             mirrored = np.linalg.solve(lam * eye + va, vP)
-            if _spectral_norm(current - mirrored) > AGREE_TOL * (1.0 + nc):
+            if (_spectral_norm(current - mirrored)
+                    > AGREE_TOL * (1.0 + _spectral_norm(current))):
                 raise ConvergenceFailure("left and right limit forms disagree")
-        if nc > _LIMIT_BLOWUP * (1.0 + nv):
+        if np.linalg.norm(current) / root_k > _LIMIT_BLOWUP * (1.0 + nv):
             raise ConvergenceFailure("resolvent iterates diverge as lambda -> 0")
         lams.append(lam)
         new_row = [current]
@@ -354,7 +407,8 @@ def limit_representation(a: RingValue, v: RingValue,
             new_row.append((far * new_row[-1] - lam * below) / (far - lam))
         if row:
             estimate = new_row[-1]
-            diff = _spectral_norm(estimate - row[-1]) / (1.0 + _spectral_norm(estimate))
+            diff = (np.linalg.norm(estimate - row[-1])
+                    / (1.0 + np.linalg.norm(estimate) / root_k))
             if diff <= _LIMIT_TOL:
                 return ring.element(estimate)
             if diff < best_diff:
@@ -469,8 +523,9 @@ class _BoundData:
 
 def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
                 y: RingValue | None) -> _BoundData:
-    y = (bc_inverse(a, frame) if y is None else y).payload
-    na, nv, ny = a.norm(), v.norm(), _spectral_norm(y)
+    y_value = bc_inverse(a, frame) if y is None else y
+    y = y_value.payload
+    na, nv, ny = a.norm(), v.norm(), y_value.norm()
     if na * ny == 0.0:
         return _BoundData(y, na, nv, ny, 0.0)
     _, nH = _multiplier(a, v, frame, lambda: y, "left")

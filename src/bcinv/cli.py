@@ -458,14 +458,29 @@ def job_from_args(args: argparse.Namespace) -> JobSpec:
     return job
 
 
+def _print(text: str) -> None:
+    """Print text to stdout; a reader that closes the pipe early is no error.
+
+    On a broken pipe stdout is pointed at os.devnull, as the docs of the
+    signal module advise, so that the flush at exit cannot fail again.
+    """
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         job = job_from_args(args)
     except (OSError, *_INVALID_ERRORS) as exc:
-        print(json.dumps({"schema": "bcinv-report/1", "status": STATUS_INVALID,
-                          "diagnostic": {"error": type(exc).__name__,
-                                         "message": str(exc)}}, indent=2))
+        _print(json.dumps({"schema": "bcinv-report/1", "status": STATUS_INVALID,
+                           "diagnostic": {"error": type(exc).__name__,
+                                          "message": str(exc)}}, indent=2))
         return STATUS_INVALID
     status, report = run(job)
     text = json.dumps(report, indent=2)
@@ -474,9 +489,9 @@ def main(argv=None) -> int:
     if job.report:
         with open(job.report, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-        print(f"report written to {job.report} (status {status})")
+        _print(f"report written to {job.report} (status {status})")
     else:
-        print(text)
+        _print(text)
     return status
 
 

@@ -8,7 +8,9 @@ Four concrete backends share one element type:
 * ``R``   -- k x k float matrices with tolerance-based equality.
 
 Every value is immutable after construction and all operations are pure
-functions, so anything here is safe to evaluate concurrently.
+functions, so anything here is safe to evaluate concurrently.  A matrix
+value keeps its spectral norm, and a float value its SVD, once computed:
+derived state of a read-only payload, which never goes stale.
 """
 
 from __future__ import annotations
@@ -212,9 +214,15 @@ def _distinct_names(first: RingDescriptor, second: RingDescriptor) -> tuple[str,
 
 
 class RingValue:
-    """Immutable element of one concrete ring."""
+    """Immutable element of one concrete ring.
 
-    __slots__ = ("ring", "payload")
+    The slots _norm and _svd stay unset until norm() or a float
+    factorization first needs them (see _kept_svd), so constructing a value
+    does no extra work.  Two threads that fill one at once store equal
+    values, so the race is harmless.
+    """
+
+    __slots__ = ("ring", "payload", "_norm", "_svd")
 
     def __init__(self, ring: RingDescriptor, payload):
         self.ring = ring
@@ -324,10 +332,17 @@ class RingValue:
         return RingValue(self.ring, out)
 
     def norm(self) -> float:
-        """Spectral norm (float backend); float value of |residue| otherwise."""
+        """Spectral norm (matrix backends), computed once; float value of the residue on Zn.
+
+        It is the first of the singular values alone, so it equals
+        _spectral_norm(payload) bit for bit whatever else was asked of the value.
+        """
         if self.ring.kind == MODULAR:
             return float(self.payload)
-        return _spectral_norm(np.asarray(self.payload, dtype=float))
+        norm = getattr(self, "_norm", None)
+        if norm is None:
+            norm = self._norm = _spectral_norm(np.asarray(self.payload, dtype=float))
+        return norm
 
     def __repr__(self):
         if self.ring.kind == MODULAR:
@@ -404,6 +419,20 @@ def _spectral_norm(arr: np.ndarray) -> float:
     descending order, so the first one is the same float bit for bit.
     """
     return float(np.linalg.svd(arr, compute_uv=False)[0]) if arr.size else 0.0
+
+
+def _kept_svd(x: RingValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The full SVD (u, s, vh) of a float value, computed once and kept on it.
+
+    The arrays are read-only; callers hand out slices only as fresh arrays.
+    """
+    usv = getattr(x, "_svd", None)
+    if usv is None:
+        usv = tuple(np.linalg.svd(x.payload))
+        for part in usv:
+            part.setflags(write=False)
+        x._svd = usv
+    return usv
 
 
 def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = None) -> int:
@@ -551,12 +580,9 @@ def rank_factorization(x: RingValue):
     if not ring.is_matrix:
         raise PreconditionFailed("rank factorization needs a matrix backend")
     if ring.kind == FLOAT_MATRIX:
-        arr = np.asarray(x.payload, dtype=float)
-        u, s, vh = np.linalg.svd(arr)
-        r = _float_rank(ring, arr, s)
-        B = u[:, :r] * s[:r]
-        C = vh[:r, :].copy()
-        return B, C
+        u, s, vh = _kept_svd(x)
+        r = _float_rank(ring, x.payload, s)
+        return u[:, :r] * s[:r], vh[:r].copy()
     B, C = xla.rank_factorization(_to_lists(x.payload), _field(ring))
     return _from_lists(B, (ring.k, len(C))), _from_lists(C, (len(C), ring.k))
 
@@ -580,9 +606,8 @@ def canonical_inner_inverse(b: RingValue) -> RingValue:
             raise NotRegular(f"{b!r} has no inner inverse")
         return RingValue(ring, pow(b.payload, -1, m))
     if ring.kind == FLOAT_MATRIX:
-        arr = np.asarray(b.payload, dtype=float)
-        u, s, vh = np.linalg.svd(arr)
-        r = _float_rank(ring, arr, s)
+        u, s, vh = _kept_svd(b)
+        r = _float_rank(ring, b.payload, s)
         if r == 0:
             return ring.zero()
         g = (vh[:r, :].T / s[:r]) @ u[:, :r].T

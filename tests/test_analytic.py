@@ -27,6 +27,7 @@ from bcinv import (
     perturbation_bound,
     series_representation,
     spectrum,
+    verify_bc_inverse,
 )
 from bcinv.analytic import _expm
 from bcinv.cli import main
@@ -211,10 +212,69 @@ def test_choose_beta_finds_a_contraction_far_outside_the_norm_scale():
     assert np.linalg.norm(p - beta * a.payload, 2) <= 1e-6
 
 
+def _grid_minimum(p: np.ndarray, va: np.ndarray, lo: float, hi: float) -> float:
+    """min |p - beta va| on 4001 points of [lo, hi], then on 4001 points
+    around the best of them; each grid takes one stacked SVD."""
+    for _ in range(2):
+        grid = np.linspace(lo, hi, 4001)
+        norms = np.linalg.svd(p[None] - grid[:, None, None] * va[None],
+                              compute_uv=False)[:, 0]
+        i = int(np.argmin(norms))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, grid.size - 1)]
+    return float(norms.min())
+
+
+def _positive_instance(rng: np.random.Generator, k: int) -> tuple[np.ndarray, CornerFrame]:
+    """a near a multiple of 1 with b = c symmetric of rank k // 2 and g = b^+.
+
+    Every nonzero eigenvalue of a*v then has a positive real part, so the
+    limit, series and integral all apply and choose_beta works in rank >= 2
+    when k >= 4.
+    """
+    ring = RingDescriptor.float_matrices(k)
+    X = np.linalg.qr(rng.standard_normal((k, k // 2)))[0]
+    b = ring.element(X @ np.diag(rng.uniform(1.0, 2.0, k // 2)) @ X.T)
+    g = ring.element(np.linalg.pinv(b.payload))
+    a = rng.uniform(0.5, 2.0) * (np.eye(k) + 0.2 * rng.standard_normal((k, k)) / np.sqrt(k))
+    return ring.element(a), CornerFrame.make(b, b, g, g)
+
+
+def test_choose_beta_reaches_the_grid_minimum():
+    # The oracle needs no scipy: a grid search on choose_beta's padded
+    # bracket, the intersection of the intervals (0, 2 Re mu / |mu|^2),
+    # refined once around its best point.  Every contracting beta lies in
+    # that bracket.  The random frames that contract do so in rank 1; the
+    # positive instances add ranks 2 to 4.
+    rng = np.random.default_rng(67)
+    instances = [random_frame_instance(rng, n, int(rng.integers(1, n)))
+                 for n in rng.integers(2, 7, size=40)]
+    instances += [_positive_instance(rng, k) for k in (4, 5, 6, 7, 8) * 4]
+    chosen = set()
+    for a, frame in instances:
+        v = build_v(frame)
+        va = v.payload @ a.payload
+        p = va @ group_inverse(v * a).payload
+        r = round(float(np.trace(p)))
+        eigs = np.linalg.eigvals(va)
+        mu = eigs[np.argsort(-np.abs(eigs))[:r]]
+        ends = 2.0 * mu.real / np.abs(mu) ** 2
+        lo, hi = np.minimum(ends, 0.0).max(), np.maximum(ends, 0.0).min()
+        pad = 1e-3 * max(hi - lo, 0.0)
+        floor = _grid_minimum(p, va, lo - pad, hi + pad)
+        try:
+            beta = choose_beta(a, v)
+        except PreconditionFailed:
+            assert floor >= 1.0 - 1e-12
+            continue
+        assert np.linalg.norm(p - beta * va, 2) <= floor + 1e-12
+        chosen.add(r)
+    assert chosen == {1, 2, 3, 4}
+
+
 def test_choose_beta_is_no_worse_than_scipy():
     # scipy's bounded Brent search on [-8, 8] / |v a| with the same xatol is
-    # only an oracle here: the library's golden-section search, whose range
-    # holds every contracting beta, must do as well.
+    # only an oracle here: the library's slope search, whose range holds
+    # every contracting beta, must do as well.
     minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
     rng = np.random.default_rng(67)
     chosen = 0
@@ -545,3 +605,45 @@ def test_corner_frame_is_frozen():
     for name in ("b", "p"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(FRAME_E11, name, R2.one())
+
+
+# np.linalg.svd calls of the pipeline below: 56 measured, 11 of them
+# choose_beta's slope search; the headroom allows for a few more search steps
+# under other rounding.  A golden-section choose_beta with spectral stop
+# tests in the loops, and no SVD kept on a value, took 159.
+SVD_BUDGET = 64
+
+
+def test_float_pipeline_svd_budget(monkeypatch):
+    # One R:8 instance of the shape the float benchmark times, where the
+    # limit, series and integral all apply.
+    x, frame = _positive_instance(np.random.default_rng(73), 8)
+    a, b, g = x.payload, frame.b.payload, frame.g.payload
+
+    def values():
+        ring = x.ring
+        bb, gg = ring.element(b), ring.element(g)
+        return ring.element(a), CornerFrame.make(bb, bb, gg, gg)
+
+    x, frame = values()
+    y = bc_inverse(x, frame)
+    _, nH = build_H(x, build_v(frame), frame)
+    radius = 1.0 / (x.norm() * y.norm() ** 2 * nH)
+    lams = [f * radius for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
+
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    x, frame = values()
+    y = bc_inverse(x, frame)
+    assert verify_bc_inverse(x, frame, y).verdict
+    v = build_v(frame)
+    for lam in lams:
+        perturbation_bound(x, v, frame, lam)
+    outputs = [limit_representation(x, v),
+               series_representation(x, v, choose_beta(x, v)),
+               integral_representation(x, v)]
+    count = len(calls)
+    monkeypatch.undo()
+    assert all(rel_err(out.payload, y.payload) <= 1e-6 for out in outputs)
+    assert count <= SVD_BUDGET

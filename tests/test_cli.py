@@ -232,6 +232,30 @@ def test_main_exit_codes(capsys):
     assert main(["compute", "--ring", "bogus", "--a", "1", "--b", "1", "--c", "1"]) == 2
 
 
+@pytest.mark.parametrize("args, status", [
+    (["--ring", "R:32", "--a", "I", "--b", "I", "--c", "I"], STATUS_OK),
+    (["--ring", "R:2", "--a", "[[0,1],[1,0]]", "--b", "E11", "--c", "E11"], STATUS_REFUTED),
+    (["--ring", "bogus", "--a", "1", "--b", "1", "--c", "1"], STATUS_INVALID),
+])
+def test_closed_stdout_keeps_the_job_status(args, status):
+    # A pipe whose reader is gone before the job writes, as with `| head -c 10`;
+    # with buffered stdout the write fails on flush, unbuffered in print.
+    src = str(Path(bcinv.__file__).resolve().parents[1])
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for unbuffered in ({}, {"PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "bcinv.cli", "compute", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120, env={**env, **unbuffered})
+        finally:
+            os.close(write_end)
+        assert proc.returncode == status, unbuffered
+        assert proc.stderr == "", unbuffered
+
+
 def test_tolerance_env_var(monkeypatch):
     monkeypatch.setenv("BCINV_TOL", "1e-7")
     assert parse_ring("R:3").tol == 1e-7

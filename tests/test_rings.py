@@ -26,7 +26,7 @@ from bcinv import (
     values_equal,
     verify_bc_inverse,
 )
-from bcinv.rings import _is_prime
+from bcinv.rings import _is_prime, _spectral_norm, _wrap
 from helpers import zn_inner_inverses
 
 Z6 = RingDescriptor.modular(6)
@@ -382,3 +382,60 @@ def test_scalar_embedding_and_transpose():
     m = R2.element([[1.0, 2.0], [3.0, 4.0]])
     assert np.allclose(m.transpose().payload, [[1.0, 3.0], [2.0, 4.0]])
     assert (1 - R2.unit_matrix(0, 0)) == R2.element([[0.0, 0.0], [0.0, 1.0]])
+
+
+R5 = RingDescriptor.float_matrices(5)
+
+
+def _float_values():
+    """One float value from each construction path, paired with its name."""
+    rng = np.random.default_rng(71)
+    x = R5.element(rng.standard_normal((5, 5)))
+    y = R5.element(rng.standard_normal((5, 5)))
+    return {"element": x, "scalar": R5.scalar(2.5), "zero": R5.zero(), "one": R5.one(),
+            "sum": x + y, "difference": x - y, "negation": -x, "product": x * y,
+            "scalar sum": x + 1.5, "transpose": x.transpose(),
+            "wrap": _wrap(R5, rng.standard_normal((5, 5)))}
+
+
+def test_float_values_are_read_only():
+    # The kept SVD is derived from the payload, so no path may leave it writable.
+    for name, x in _float_values().items():
+        assert not x.payload.flags.writeable, name
+        with pytest.raises(ValueError):
+            x.payload[0, 0] = 1.0
+
+
+def test_norm_is_the_spectral_norm_bit_for_bit(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    for name, x in _float_values().items():
+        # whether or not a factorization kept the full SVD first
+        if name in ("sum", "product"):
+            rank_factorization(x)
+        want = float(svd(x.payload, compute_uv=False)[0])
+        del calls[:]
+        assert x.norm() == want, name
+        assert x.norm() == want, name
+        assert len(calls) == 1, name
+        assert x.norm() == _spectral_norm(x.payload), name
+
+
+def test_float_factorizations_share_one_svd_and_hand_out_fresh_arrays(monkeypatch):
+    rng = np.random.default_rng(72)
+    x = R5.element(rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5)))
+    B, C = rank_factorization(x)
+    g = canonical_inner_inverse(x).payload.copy()
+    want_B, want_C = B.copy(), C.copy()
+    B[:] = 7.0
+    C[:] = 7.0
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    B2, C2 = rank_factorization(x)
+    assert np.array_equal(B2, want_B) and np.array_equal(C2, want_C)
+    assert B2.shape == (5, 3)
+    assert np.array_equal(canonical_inner_inverse(x).payload, g)
+    assert calls == []              # both read the SVD kept since the first call
+    assert np.allclose(B2 @ C2, x.payload)
