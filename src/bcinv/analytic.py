@@ -80,7 +80,7 @@ def spectrum(x: RingValue) -> SpectralReport:
     eigs = eigs[order]
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     try:
-        proj = x * group_inverse(x)
+        proj = x.ring.element(_group_projection(x))
     except InverseAbsent:
         proj = None
     nz = _nonzero_eigs(x.ring, eigs)
@@ -171,10 +171,9 @@ def integral_representation(a: RingValue, v: RingValue, tol: float = 1e-10) -> R
     return ring.element(result)
 
 
-def _group_projection(x: np.ndarray, ring) -> tuple[np.ndarray, np.ndarray]:
-    value = ring.element(x)
-    sharp = group_inverse(value)          # raises InverseAbsent when missing
-    return x @ sharp.payload, sharp.payload
+def _group_projection(x: RingValue) -> np.ndarray:
+    """x x^#; raises InverseAbsent when x has no group inverse."""
+    return x.payload @ group_inverse(x).payload
 
 
 def _doubling_sum(M: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
@@ -209,21 +208,14 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     of a*v, is summed the same way on transposes, with the same tail bound
     because v (p' - beta a v)^n = (p - beta v a)^n v, and must agree.
     """
-    return _series(a, v, beta)
-
-
-def _series(a: RingValue, v: RingValue, beta: float,
-            p_va: np.ndarray | None = None) -> RingValue:
-    """series_representation; p_va is the group projection of v*a when known."""
     _require_float(a, v)
     ring = a.ring
-    vP, aP = v.payload, a.payload
-    va = vP @ aP
-    av = aP @ vP
+    vP = v.payload
+    va_value, av_value = v * a, a * v
+    va, av = va_value.payload, av_value.payload
     try:
-        if p_va is None:
-            p_va, _ = _group_projection(va, ring)
-        p_av, _ = _group_projection(av, ring)
+        p_va = _group_projection(va_value)
+        p_av = _group_projection(av_value)
     except InverseAbsent as exc:
         raise PreconditionFailed(f"one-sided product is not group invertible: {exc}")
     M = p_va - beta * va
@@ -264,22 +256,14 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     The norm of the full k x k matrix p - beta v a at that point decides
     the refusal.
     """
-    return _choose_beta(a, v)[0]
-
-
-def _choose_beta(a: RingValue, v: RingValue) -> tuple[float, np.ndarray | None]:
-    """choose_beta's coefficient and the group projection of v*a it used.
-
-    The projection is None when v*a = 0, where none is computed.
-    """
     _require_float(a, v)
     va_value = v * a
     va = va_value.payload
     u, s, vh = _kept_svd(va_value)
     if s[0] == 0.0:
-        return 1.0, None
+        return 1.0
     try:
-        p_va = va @ group_inverse(va_value).payload     # reads the kept SVD
+        p_va = _group_projection(va_value)      # reads the kept SVD
     except InverseAbsent as exc:
         raise PreconditionFailed(f"v*a is not group invertible: {exc}")
     # the nonzero eigenvalues are the rank(p) = trace(p) largest in modulus
@@ -294,7 +278,7 @@ def _choose_beta(a: RingValue, v: RingValue) -> tuple[float, np.ndarray | None]:
         best = _slope_search(u[:, :r].T @ p_va @ vh[:r].T, s[:r], lo - pad, hi + pad)
     if _spectral_norm(p_va - best * va) >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
-    return best, p_va
+    return best
 
 
 def _slope_search(core: np.ndarray, d: np.ndarray, lo: float, hi: float) -> float:
@@ -521,9 +505,8 @@ class _BoundData:
     right_error: str | None = None
 
 
-def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
-                y: RingValue | None) -> _BoundData:
-    y_value = bc_inverse(a, frame) if y is None else y
+def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
+    y_value = bc_inverse(a, frame)
     y = y_value.payload
     na, nv, ny = a.norm(), v.norm(), y_value.norm()
     if na * ny == 0.0:
@@ -550,13 +533,12 @@ def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
 _last_bound: tuple[tuple[RingValue, RingValue, CornerFrame], _BoundData] | None = None
 
 
-def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame,
-                       y: RingValue | None) -> _BoundData:
+def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
     global _last_bound
     entry = _last_bound
     if entry is not None and all(s is t for s, t in zip(entry[0], (a, v, frame))):
         return entry[1]
-    data = _bound_data(a, v, frame, y)
+    data = _bound_data(a, v, frame)
     _last_bound = ((a, v, frame), data)
     return data
 
@@ -571,14 +553,8 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
     calls on the same a, v and frame objects reuse the lambda-independent
     data: the inverse, the norms, the multipliers and the spectrum of a v.
     """
-    return _perturbation_bound(a, v, frame, lam, None)
-
-
-def _perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame, lam: float,
-                        y: RingValue | None) -> BoundReport:
-    """perturbation_bound; y is bc_inverse(a, frame) when the caller has it."""
     _require_float(a, v)
-    d = _cached_bound_data(a, v, frame, y)
+    d = _cached_bound_data(a, v, frame)
     na, nv, ny, nH = d.norm_a, d.norm_v, d.norm_y, d.norm_h
     if nH == 0.0:
         return BoundReport(lam, 0.0, 0.0, math.inf, na, nv, ny, 0.0,
@@ -591,10 +567,15 @@ def _perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame, lam: flo
     if margin <= 0.0:
         raise PreconditionFailed(
             f"|lambda| = {abs(lam):.6g} is not below the admissible radius {radius:.6g}")
+
+    def side_bound(norm_h: float) -> float:
+        return ((abs(lam) * nv * na * ny ** 3 * norm_h ** 2)
+                / (1.0 - abs(lam) * na * ny * ny * norm_h))
+
     eye = np.eye(a.ring.k)
     resolvent = np.linalg.solve((lam * eye + d.av).T, v.payload.T).T
     measured = _spectral_norm(d.y - resolvent)
-    bound = (abs(lam) * nv * na * ny ** 3 * nH ** 2) / (1.0 - abs(lam) * na * ny * ny * nH)
+    bound = side_bound(nH)
     # The resolvent solve carries backward error ~ eps |av| / |lambda|, which
     # dominates the true deviation once lambda is tiny; allow for it.
     conditioning = 1.0 + (d.norm_av / abs(lam) if lam != 0.0 else 0.0)
@@ -610,11 +591,7 @@ def _perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame, lam: flo
     if abs(lam) < radius_r:
         resolvent_r = np.linalg.solve(lam * eye + d.va, v.payload)
         measured_r = _spectral_norm(d.y - resolvent_r)
-        if nHr == 0.0:
-            bound_r = 0.0
-        else:
-            bound_r = ((abs(lam) * nv * na * ny ** 3 * nHr ** 2)
-                       / (1.0 - abs(lam) * na * ny * ny * nHr))
+        bound_r = 0.0 if nHr == 0.0 else side_bound(nHr)
         if measured_r > bound_r * (1.0 + 1e-9) + noise:
             raise BcinvError("right-sided deviation exceeds its bound")
         report.measured_right = measured_r

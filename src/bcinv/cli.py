@@ -133,6 +133,8 @@ def parse_element(ring: RingDescriptor, literal) -> RingValue:
                 return ring.scalar(Fraction(text))
             raise ValueError(f"cannot parse element literal {text!r}")
     if isinstance(literal, list):
+        if not all(isinstance(row, list) for row in literal):
+            raise ValueError("a matrix literal is an array of rows")
         rows = [[_entry(ring, v) for v in row] for row in literal]
         return ring.element(np.array(rows, dtype=object if ring.kind == RATIONAL_MATRIX
                                      else None))
@@ -148,6 +150,25 @@ def serialize_value(value: RingValue):
     if ring.kind == RATIONAL_MATRIX:
         return [[str(v) for v in row] for row in value.payload]
     return [[float(v) for v in row] for row in value.payload]
+
+
+# The JSON type of each job field, as the Python types json.load gives it.
+# A null field is omitted; booleans count as none of these.
+_NUMBER = (int, float)
+_LITERAL = (str, int, float, list)
+_JOB_FIELD_TYPES = {
+    "command": str, "ring": str, "elements": dict, "method": str, "tol": _NUMBER,
+    "beta": _NUMBER, "lambda0": _NUMBER, "suite": str, "family": str, "count": int,
+    "report": str, "summary": str,
+}
+_JSON_NAMES = {str: "a string", dict: "an object", _NUMBER: "a number", int: "an integer",
+               _LITERAL: "a string, number or array"}
+
+
+def _check_json_type(name: str, value, expected) -> None:
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise ValueError(f"job field {name!r} must be {_JSON_NAMES[expected]}, "
+                         f"not {type(value).__name__}")
 
 
 @dataclass
@@ -175,10 +196,21 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
-        if "job" in data:                     # accept a previously written report
+        """The job in data, or in the report data; ValueError on a malformed one."""
+        if isinstance(data, dict) and "job" in data:  # accept a previously written report
             data = data["job"]
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+        if not isinstance(data, dict):
+            raise ValueError(f"a job must be a JSON object, not {type(data).__name__}")
+        if data.get("command") is None:
+            raise ValueError("the job names no command")
+        known = cls.__dataclass_fields__
+        fields = {k: v for k, v in data.items() if k in known and v is not None}
+        for name, value in fields.items():
+            _check_json_type(name, value, _JOB_FIELD_TYPES[name])
+        for name, value in fields.get("elements", {}).items():
+            if value is not None:
+                _check_json_type(f"elements.{name}", value, _LITERAL)
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path: str) -> "JobSpec":
@@ -241,10 +273,8 @@ def _run_banach(job: JobSpec, report: dict) -> int:
     direct = bc_inverse(a, frame)
     method = job.method or "limit"
     if method == "series":
-        # choose_beta's projection of v*a is the one the series needs
-        beta, p_va = ((job.beta, None) if job.beta is not None
-                      else analytic._choose_beta(a, v))
-        value = analytic._series(a, v, beta, p_va)
+        beta = job.beta if job.beta is not None else analytic.choose_beta(a, v)
+        value = analytic.series_representation(a, v, beta)
         extra = {"beta": beta}
     elif method == "integral":
         value = analytic.integral_representation(a, v)
@@ -262,7 +292,7 @@ def _run_banach(job: JobSpec, report: dict) -> int:
     report["residuals"] = {"deviation": deviation, "relative_deviation": deviation / scale}
     verdicts = {"agrees": deviation <= 1e-6 * scale}
     if job.lambda0 is not None:
-        bound = analytic._perturbation_bound(a, v, frame, job.lambda0, direct)
+        bound = analytic.perturbation_bound(a, v, frame, job.lambda0)
         report["outputs"]["bound"] = {k: v for k, v in asdict(bound).items()
                                       if v is not None}
         verdicts["bound_holds"] = bound.measured <= bound.bound * (1.0 + 1e-9) + 1e-15

@@ -199,15 +199,21 @@ def _bc_factor(a: RingValue, frame: CornerFrame) -> RingValue:
     ring = a.ring
     if not ring.is_matrix:
         raise PreconditionFailed("factor method needs a matrix backend")
-    B, _ = rank_factorization(frame.b)
-    _, Cr = rank_factorization(frame.c)
-    if B.shape[1] != Cr.shape[0]:
-        raise InverseAbsent("rank(b) differs from rank(c)")
+    B, Cr = _frame_factors(frame)
     mid = mat_mul(ring, mat_mul(ring, Cr, a.payload), B)
     mid_inv = mat_inv(ring, mid)
     if mid_inv is None:
         raise InverseAbsent("corner-rank deficiency: Cr*a*B is singular")
     return _wrap(ring, mat_mul(ring, mat_mul(ring, B, mid_inv), Cr))
+
+
+def _frame_factors(frame: CornerFrame) -> tuple[np.ndarray, np.ndarray]:
+    """The left factor of b and the right factor of c, whose ranks must agree."""
+    B, _ = rank_factorization(frame.b)
+    _, Cr = rank_factorization(frame.c)
+    if B.shape[1] != Cr.shape[0]:
+        raise InverseAbsent("rank(b) differs from rank(c)")
+    return B, Cr
 
 
 def _bc_corner(a: RingValue, frame: CornerFrame) -> RingValue:
@@ -279,10 +285,7 @@ def build_v(frame: CornerFrame) -> RingValue:
         if frame.p != frame.q:
             raise InverseAbsent("p differs from q: no carrier exists")
         return frame.p
-    B, _ = rank_factorization(frame.b)
-    _, Cr = rank_factorization(frame.c)
-    if B.shape[1] != Cr.shape[0]:
-        raise InverseAbsent("rank(b) differs from rank(c): no carrier exists")
+    B, Cr = _frame_factors(frame)
     return _wrap(ring, mat_mul(ring, B, Cr))
 
 

@@ -1,15 +1,18 @@
 """Command-line surface: parsing, exit codes, reports, round trips."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bcinv
+from bcinv import analytic
 from bcinv.cli import (
     JobSpec,
     STATUS_INVALID,
@@ -21,6 +24,7 @@ from bcinv.cli import (
     run,
     serialize_value,
 )
+from bcinv.inverses import CornerFrame, build_v
 from bcinv.rings import RingDescriptor
 
 
@@ -154,6 +158,104 @@ def test_non_finite_float_entry_is_status_2(capsys, literal):
     out = json.loads(capsys.readouterr().out)
     assert out["diagnostic"]["error"] == "PreconditionFailed"
     assert "needs finite entries" in out["diagnostic"]["message"]
+
+
+@pytest.mark.parametrize("command, job", [
+    ("continuity", {"command": "continuity", "count": "5"}),
+    ("continuity", {"command": "continuity", "count": 5.0}),
+    ("banach", {"command": "banach", "ring": "R:2", "method": "series", "beta": "0.5",
+                "elements": {"a": "[[2,0],[0,3]]", "b": "E11", "c": "E11"}}),
+    ("banach", {"command": "banach", "ring": "R:2", "lambda0": "0.1",
+                "elements": {"a": "[[2,0],[0,3]]", "b": "E11", "c": "E11"}}),
+    ("compute", {"command": "compute", "ring": "R:2", "tol": True,
+                 "elements": {"a": "I", "b": "E11", "c": "E11"}}),
+    ("compute", {"command": "compute", "ring": 6, "elements": {"a": 5, "b": 4, "c": 4}}),
+    ("compute", {"command": "compute", "ring": "Z6", "elements": [5, 4, 4]}),
+    ("compute", {"command": "compute", "ring": "Z6", "elements": {"a": {}, "b": 4, "c": 4}}),
+    ("compute", {"command": "compute", "ring": "R:2",
+                 "elements": {"a": [1, 2], "b": "E11", "c": "E11"}}),
+    ("compute", {"ring": "Z6", "elements": {"a": 5, "b": 4, "c": 4}}),
+    ("compute", {"job": [1]}),
+    ("compute", [1, 2]),
+])
+def test_malformed_job_file_is_status_2(tmp_path, capsys, command, job):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert main([command, "--job", str(path)]) == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == STATUS_INVALID
+    assert out["diagnostic"]["error"] == "ValueError"
+
+
+# (a, b, c, fixed beta, lambda0) per ring.  The R:4 frame has rank 2, and the
+# nonzero eigenvalues of a*v (about 2.59 and 3.83) are positive, so every
+# representation converges.
+_BANACH_INSTANCES = {
+    "R:2": ("[[2,0],[0,3]]", "E11", "E11", "0.3", "0.1"),
+    "R:4": ("[[4,1,0,0],[1,3,0,1],[0,1,2,0],[1,0,0,1]]",
+            "[[1,0,0,0],[0,1,0,0],[1,1,0,0],[0,0,0,0]]",
+            "[[-1,0,-1,0],[0,-1,0,0],[0,0,0,0],[0,0,0,0]]", "0.25", "0.05"),
+}
+
+
+@pytest.mark.parametrize("ring_literal", sorted(_BANACH_INSTANCES))
+@pytest.mark.parametrize("method, fixed_beta, with_bound", [
+    ("series", False, False), ("series", True, False), ("series", False, True),
+    ("limit", False, True), ("integral", False, False),
+])
+def test_banach_report_is_the_library_answer(tmp_path, ring_literal, method,
+                                             fixed_beta, with_bound):
+    a_lit, b_lit, c_lit, beta_lit, lam_lit = _BANACH_INSTANCES[ring_literal]
+    args = ["banach", "--ring", ring_literal, "--a", a_lit, "--b", b_lit, "--c", c_lit,
+            "--method", method]
+    if fixed_beta:
+        args += ["--beta", beta_lit]
+    if with_bound:
+        args += ["--lambda0", lam_lit]
+    path = tmp_path / "report.json"
+    assert main(args + ["--report", str(path)]) == STATUS_OK
+    outputs = json.loads(path.read_text())["outputs"]
+
+    ring = parse_ring(ring_literal)
+    a = parse_element(ring, a_lit)
+    frame = CornerFrame.make(parse_element(ring, b_lit), parse_element(ring, c_lit))
+    v = build_v(frame)
+    lam = float(lam_lit) if with_bound else None
+    if method == "series":
+        beta = float(beta_lit) if fixed_beta else analytic.choose_beta(a, v)
+        assert outputs["beta"] == beta
+        value = analytic.series_representation(a, v, beta)
+    elif method == "limit":
+        value = analytic.limit_representation(a, v, lam)
+    else:
+        value = analytic.integral_representation(a, v)
+    assert outputs["representation"] == serialize_value(value)
+    if with_bound:
+        bound = analytic.perturbation_bound(a, v, frame, lam)
+        assert outputs["bound"] == {k: x for k, x in asdict(bound).items() if x is not None}
+    else:
+        assert "bound" not in outputs
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    # bench/tracer.py wraps only public functions, so a CLI job that reached
+    # a private helper of another module would run untraced.
+    tree = ast.parse(Path(bcinv.cli.__file__).read_text(encoding="utf-8"))
+    modules = set()
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:     # from . / from .x
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    private.append(f"{node.module}.{alias.name}")
+                if node.module is None:
+                    modules.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert modules >= {"analytic", "lab"}
+    assert private == []
 
 
 _SCIPY_PROBE = """
