@@ -112,6 +112,12 @@ def _entry(ring: RingDescriptor, value):
     return value
 
 
+def _has_boolean(literal) -> bool:
+    if isinstance(literal, list):
+        return any(_has_boolean(v) for v in literal)
+    return isinstance(literal, bool)
+
+
 def parse_element(ring: RingDescriptor, literal) -> RingValue:
     """Element literals: residues, scalars, E<i><j> slots, or nested arrays."""
     if isinstance(literal, RingValue):
@@ -132,6 +138,8 @@ def parse_element(ring: RingDescriptor, literal) -> RingValue:
             if ring.kind == RATIONAL_MATRIX and "/" in text:
                 return ring.scalar(Fraction(text))
             raise ValueError(f"cannot parse element literal {text!r}")
+    if _has_boolean(literal):
+        raise ValueError("an element literal holds numbers, not booleans")
     if isinstance(literal, list):
         if not all(isinstance(row, list) for row in literal):
             raise ValueError("a matrix literal is an array of rows")

@@ -9,12 +9,15 @@ matrices by their base-p digits.  A ring is held as integer numpy tables:
 `mul` and `add` are n×n arrays, the four principal ideal families are n×n
 boolean membership matrices, and the (b,c)-inverses of all a form one
 n×n×n array taken from the definition.  A suite's inner loops are
-fancy-indexed comparisons over blocks of its tuple space, so no temporary
-exceeds about n³ cells.  Counts and counterexamples are exact Python ints,
-`examined` adds up the cells actually compared, and counterexamples are
-reported sorted.  The four suites certify M2(F3) (81 elements, 43,046,721
-equivalence tuples) in about 2 s, where the loop-based sweeps took minutes.
-`size_cap` on the ring size is the one guard against a sweep too large.
+fancy-indexed comparisons over blocks of its tuple space.  Every block
+covers about max(n³, _CELL_BUDGET) cells: on the small default rings one
+block takes many rows (or many b) at once, so few numpy calls are made,
+and from n³ ≥ _CELL_BUDGET on no temporary exceeds about n³ cells.
+Counts and counterexamples are exact Python ints, `examined` adds up the
+cells actually compared, and counterexamples are reported sorted.  The four
+suites certify M2(F3) (81 elements, 43,046,721 equivalence tuples) in
+about 1 s, where the loop-based sweeps took minutes.  `size_cap` on the
+ring size is the one guard against a sweep too large.
 """
 
 from __future__ import annotations
@@ -29,6 +32,10 @@ from .errors import BcinvError, CapExceeded, PreconditionFailed
 from .rings import RingDescriptor
 
 DEFAULT_RING_CAP = 16
+
+# Cells a sweep block covers at least: small enough for the cache, large
+# enough that numpy's per-call overhead stays small on rings of 4-16 elements.
+_CELL_BUDGET = 1 << 15
 
 DEFAULT_RINGS = (
     RingDescriptor.modular(4),
@@ -144,25 +151,29 @@ class RingTable:
 
 
 def _definition_hits(t: RingTable, bs: np.ndarray, cs: np.ndarray):
-    """Yield (i, hits) per b = bs[i]; hits[c, a, y]: y meets the (b,c)-inverse
-    definition for a, i.e. y ∈ bRy ∩ yRc, y·a·b = b and c·a·y = c."""
-    mul, ys = t.mul, np.arange(t.n)
+    """Yield (rows, hits) over blocks of bs; hits[i, c, a, y]: y meets the
+    (b,c)-inverse definition for a with b = bs[rows][i], i.e. y ∈ bRy ∩ yRc,
+    y·a·b = b and c·a·y = c."""
+    mul, n = t.mul, t.n
+    ys = np.arange(n)
     in_bry = (mul[mul[bs]] == ys).any(axis=1)        # [b, y]: y = b·m·y for some m
     in_yrc = (mul.T[mul.T[cs]] == ys).any(axis=1)    # [c, y]: y = y·m·c for some m
     cay = mul[mul[cs]] == cs[:, None, None]          # [c, a, y]: c·a·y = c
-    for i, b in enumerate(bs.tolist()):
-        yab = mul[mul.T, b] == b                     # [a, y]: y·a·b = b
-        yield i, cay & yab & (in_bry[i] & in_yrc)[:, None, :]
+    for rows in _blocks(len(bs), len(cs) * n * n, n):
+        b = bs[rows, None, None]
+        yab = mul[mul.T, b] == b                     # [b, a, y]: y·a·b = b
+        reach = in_bry[rows, None, :] & in_yrc       # [b, c, y]
+        yield rows, cay & yab[:, None] & reach[:, :, None, :]
 
 
 def _inverse_maps(t: RingTable, bs: np.ndarray, cs: np.ndarray) -> np.ndarray:
     """[b, c, a] -> the (b,c)-inverse y of a, or -1 where a has none."""
     out = np.full((len(bs), len(cs), t.n), -1)
-    for i, hits in _definition_hits(t, bs, cs):
-        count = np.count_nonzero(hits, axis=2)
+    for rows, hits in _definition_hits(t, bs, cs):
+        count = np.count_nonzero(hits, axis=3)
         if (count > 1).any():
             raise BcinvError("two distinct (b,c)-inverses found")
-        out[i] = np.where(count == 1, hits.argmax(axis=2), -1)
+        out[rows] = np.where(count == 1, hits.argmax(axis=3), -1)
     return out
 
 
@@ -191,8 +202,9 @@ def _realized_frames(t: RingTable) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _blocks(count: int, cells: int, n: int):
-    """Slices of range(count), each covering about n³ cells at `cells` per item."""
-    step = max(1, n ** 3 // cells)
+    """Slices of range(count), each covering about max(n³, _CELL_BUDGET) cells
+    at `cells` per item (at least one item)."""
+    step = max(1, max(n ** 3, _CELL_BUDGET) // cells)
     return (slice(i, i + step) for i in range(0, count, step))
 
 
@@ -228,11 +240,13 @@ def verify_equivalence_suite(ring: RingDescriptor,
     stmt_true = np.zeros(16, dtype=np.int64)
     coincidence_checked = 0
 
-    for b, s01 in _definition_hits(t, ys, ys):
-        def at_b(table, name):
-            return table[name][b][None, :]       # a [b, y] relation seen over (c, y)
+    for rows, s01 in _definition_hits(t, ys, ys):          # s01[b, c, a, y]
+        bs = ys[rows]
 
-        # s02-s16 over (c, y)
+        def at_b(table, name):
+            return table[name][bs][:, None, :]   # a [b, y] relation seen over (b, c, y)
+
+        # s02-s16 over (b, c, y)
         s = np.stack([
             eq["li"] & at_b(sub, "ri") & at_b(sub, "lk"),
             at_b(eq, "ri") & sub["li"] & sub["rk"],
@@ -250,37 +264,38 @@ def verify_equivalence_suite(ring: RingDescriptor,
             at_b(sub, "ri") & at_b(sub, "lk") & eq["rk"],
             eq["rk"] & at_b(eq, "lk"),
         ])
-        defining = s01 & outer                   # [c, a, y]
+        defining = s01 & outer                   # [b, c, a, y]
         report.examined += s01.size
         stmt_true[0] += np.count_nonzero(defining)
-        stmt_true[1:] += s.sum(axis=1) @ weight
-        # (tag, statements that must equal s01, statements reported, c range)
-        checks = [("equivalence-1-4", s[:3], s[:3], np.ones(n, dtype=bool))]
-        if regular[b]:
-            checks.append(("equivalence-5-16", s[3:], s, regular))
-        for tag, group, shown, cs in checks:
-            disagree = outer & cs[:, None, None] & np.where(
-                s01, ~group.all(axis=0)[:, None, :], group.any(axis=0)[:, None, :])
-            for c, a, y in _cells(disagree):
-                stmts = (bool(s01[c, a, y]),) + tuple(shown[:, c, y].tolist())
-                report.counterexamples.append((tag, b, c, a, y, stmts))
-        if not regular[b]:
-            continue
-        coincidence_checked += n * int(np.count_nonzero(regular))
-        hits = (defining, outer & s[9][:, None, :], outer & s[14][:, None, :])   # s01, s11, s16
-        counts = [np.count_nonzero(h, axis=2) for h in hits]
+        stmt_true[1:] += s.sum(axis=(1, 2)) @ weight
+        pairs = regular[bs, None] & regular      # [b, c]: both regular
+        # (tag, statements that must equal s01, statements reported, (b, c) range)
+        checks = [("equivalence-1-4", s[:3], s[:3], np.ones_like(pairs)),
+                  ("equivalence-5-16", s[3:], s, pairs)]
+        for tag, group, shown, frames in checks:
+            disagree = outer & frames[:, :, None, None] & np.where(
+                s01, ~group.all(axis=0)[:, :, None, :], group.any(axis=0)[:, :, None, :])
+            for i, c, a, y in _cells(disagree):
+                stmts = (bool(s01[i, c, a, y]),) + tuple(shown[:, i, c, y].tolist())
+                report.counterexamples.append((tag, int(bs[i]), c, a, y, stmts))
+        coincidence_checked += n * int(np.count_nonzero(pairs))
+        # s01, s11, s16 over (b, c, a, y)
+        hits = (defining, outer & s[9][:, :, None, :], outer & s[14][:, :, None, :])
+        counts = [np.count_nonzero(h, axis=3) for h in hits]
         found = [k > 0 for k in counts]
-        first = [h.argmax(axis=2) for h in hits]
+        first = [h.argmax(axis=3) for h in hits]
         several = (counts[0] > 1) | (counts[1] > 1) | (counts[2] > 1)
         unequal = (found[0] != found[1]) | (found[0] != found[2])
         apart = found[0] & ((first[0] != first[1]) | (first[0] != first[2]))
-        live = regular[:, None] & ~several
-        for tag, mask in (("uniqueness", regular[:, None] & several),
+        pairs = pairs[:, :, None]
+        live = pairs & ~several
+        for tag, mask in (("uniqueness", pairs & several),
                           ("existence", live & unequal),
                           ("coincidence", live & ~unequal & apart)):
-            for c, a in _cells(mask):
+            for i, c, a in _cells(mask):
                 report.counterexamples.append(
-                    (tag, b, c, a, tuple(np.flatnonzero(h[c, a]).tolist() for h in hits)))
+                    (tag, int(bs[i]), c, a,
+                     tuple(np.flatnonzero(h[i, c, a]).tolist() for h in hits)))
     report.statements = {f"s{i:02d}": int(v) for i, v in enumerate(stmt_true, start=1)}
     report.statements["coincidence_checked"] = coincidence_checked
     return report.finish()
@@ -411,42 +426,45 @@ def verify_bott_duffin_section(ring: RingDescriptor,
     intertwined = 0
     split_ok = 0
 
-    q, cq = idem[:, None], comp[:, None]
-    for p, cp in zip(idem.tolist(), comp.tolist()):          # cells [q, a] and [q, a, z]
-        twined = mul[:, p][None, :] == mul[idem]
+    # [i, x, w]: x·w·e = e, for e = idem[i] and for e = comp[i]
+    fixes = mul[mul[None], idem[:, None, None]] == idem[:, None, None]
+    fixes_comp = mul[mul[None], comp[:, None, None]] == comp[:, None, None]
+    ix = np.arange(len(idem))
+    q_rows = ix[:, None, None]
+    for rows in _blocks(len(idem), len(idem) * n * n, n):     # cells [p, q, a(, z)]
+        ps, cps, p_rows = idem[rows], comp[rows], ix[rows, None, None, None]
+        twined = mul[:, ps].T[:, None, :] == mul[idem]
         report.examined += twined.size
         # block equations for every z
-        pzq = mul[mul[p][None, :], q]                                     # [q, z]
-        cpzcq = mul[mul[cp][None, :], cq]
-        qap = mul[mul[idem], p]                                           # [q, a]
-        cqacp = mul[mul[comp], cp]
-        holds = ((mul[:, idem].T == mul[p][None, :])[:, None, :]
-                 & (mul[mul[pzq[:, None, :], ys[None, :, None]], p] == p)
-                 & (mul[mul[cpzcq[:, None, :], ys[None, :, None]], cp] == cp)
-                 & (mul[mul[qap[:, :, None], ys], q[:, :, None]] == q[:, :, None])
-                 & (mul[mul[cqacp[:, :, None], ys], cq[:, :, None]] == cq[:, :, None]))
-        y1, y2 = maps[p, idem], maps[cp, comp]                           # [q, a]
+        pzq = mul[mul[ps][:, None, :], idem[:, None]]                    # [p, q, z]
+        cpzcq = mul[mul[cps][:, None, :], comp[:, None]]
+        qap = mul[mul[idem], ps[:, None, None]]                           # [p, q, a]
+        cqacp = mul[mul[comp], cps[:, None, None]]
+        holds = ((mul[:, idem].T == mul[ps][:, None, :])[:, :, None, :]
+                 & fixes[p_rows, pzq[:, :, None, :], ys[:, None]]
+                 & fixes_comp[p_rows, cpzcq[:, :, None, :], ys[:, None]]
+                 & fixes[q_rows, qap[..., None], ys]
+                 & fixes_comp[q_rows, cqacp[..., None], ys])
+        y1, y2 = maps[ps[:, None], idem], maps[cps[:, None], comp]      # [p, q, a]
         both = (y1 >= 0) & (y2 >= 0)
         intertwined += int(np.count_nonzero(twined))
         mismatch = twined & (has_inv != both)
         ok = twined & ~mismatch
         split = ok & both
         split_ok += int(np.count_nonzero(split))
-        s = add[y1, y2]
-        held = np.take_along_axis(holds, s[:, :, None], axis=2)[:, :, 0]
-        witnessed = holds.any(axis=2)
-        stray = (holds & (ys != unit_inv[:, None])).any(axis=2)
-        for qi, a in _cells(mismatch):
-            report.counterexamples.append(("split-existence", p, int(idem[qi]), a))
-        for qi, a in _cells(split & (s != unit_inv)):
-            report.counterexamples.append(
-                ("split-sum", p, int(idem[qi]), a, int(s[qi, a]), int(unit_inv[a])))
-        for qi, a in _cells(split & ~held):
-            report.counterexamples.append(("block-equations", p, int(idem[qi]), a))
-        for qi, a in _cells(ok & (witnessed != has_inv)):
-            report.counterexamples.append(("block-existence", p, int(idem[qi]), a))
-        for qi, a in _cells(ok & (witnessed == has_inv) & stray):
-            report.counterexamples.append(("block-uniqueness", p, int(idem[qi]), a))
+        sums = add[y1, y2]
+        held = np.take_along_axis(holds, sums[..., None], axis=3)[..., 0]
+        witnessed = holds.any(axis=3)
+        stray = (holds & (ys != unit_inv[:, None])).any(axis=3)
+        for tag, mask in (("split-existence", mismatch),
+                          ("block-equations", split & ~held),
+                          ("block-existence", ok & (witnessed != has_inv)),
+                          ("block-uniqueness", ok & (witnessed == has_inv) & stray)):
+            for pi, qi, a in _cells(mask):
+                report.counterexamples.append((tag, int(ps[pi]), int(idem[qi]), a))
+        for pi, qi, a in _cells(split & (sums != unit_inv)):
+            report.counterexamples.append(("split-sum", int(ps[pi]), int(idem[qi]), a,
+                                           int(sums[pi, qi, a]), int(unit_inv[a])))
 
     reductions = 0
     left, right = _realized_frames(t)
@@ -469,22 +487,28 @@ def verify_bott_duffin_section(ring: RingDescriptor,
 
 
 def _reverse_order_cells(t: RingTable, maps: np.ndarray, b1, c1, b2, c2, q1, cp1, p2):
-    """Yield (rows, valid, condition, law) over blocks of rows, cells [row, a1, a2].
+    """Yield (cells, k, a1, a2, condition, law) over blocks of rows.
 
     Row k takes a1 in the frame (b1, c1) and a2 in (b2, c2), with the corner
-    idempotents q1 = h1·c1, 1 - p1 = cp1 and p2 = b2·g2.  valid: a1 and a2
-    have inverses y1, y2; condition: q1·a1·(1-p1)·a2·p2 = 0; law: the
-    (b2,c1)-inverse of a1·a2 is y2·y1.
+    idempotents q1 = h1·c1, 1 - p1 = cp1 and p2 = b2·g2.  Of the `cells`
+    [row, a1, a2] of a block, only the valid ones, where a1 and a2 have
+    inverses y1 and y2, are returned, as the flat index arrays k (absolute
+    rows), a1 and a2.  condition: q1·a1·(1-p1)·a2·p2 = 0; law: the
+    (b2,c1)-inverse of a1·a2 is y2·y1; both are evaluated on the valid
+    cells only.
     """
     mul, n = t.mul, t.n
     for s in _blocks(len(q1), n * n, n):
         y1, y2 = maps[b1[s], c1[s]], maps[b2[s], c2[s]]             # [k, a]
+        k, a1, a2 = np.nonzero((y1 >= 0)[:, :, None] & (y2 >= 0)[:, None, :])
         left = mul[mul[q1[s]], cp1[s, None]]                         # [k, a1]
-        condition = mul[mul[left], p2[s, None, None]] == t.zero
-        target = maps[b2[s], c1[s]][:, mul]
-        law = (target >= 0) & (target == mul[y2[:, None, :], y1[:, :, None]])
-        valid = (y1 >= 0)[:, :, None] & (y2 >= 0)[:, None, :]
-        yield s, valid, condition, law
+        right = mul[:, p2[s]].T                                      # [k, x]: x·p2
+        condition = right[k, mul[left[k, a1], a2]] == t.zero
+        reverse = mul[y2[k, a2], y1[k, a1]]                          # y2·y1
+        target = maps[b2[s], c1[s]][k, mul[a1, a2]]                  # (a1·a2)^(b2,c1)
+        law = (target >= 0) & (target == reverse)
+        del reverse, target              # not held across the yield
+        yield y1.size * n, k + s.start, a1, a2, condition, law
 
 
 def verify_reverse_order(ring: RingDescriptor,
@@ -511,13 +535,13 @@ def verify_reverse_order(ring: RingDescriptor,
 
     i1, j1, i2 = (ix.ravel() for ix in np.indices((len(idem),) * 3))
     p1, q1, p2 = idem[i1], idem[j1], idem[i2]
-    for s, valid, condition, law in _reverse_order_cells(
+    for cells, k, a1, a2, condition, law in _reverse_order_cells(
             t, maps, p1, q1, p2, p1, q1, comp[i1], p2):
-        report.examined += valid.size
-        cases += int(np.count_nonzero(valid))
-        failures_witnessed += int(np.count_nonzero(valid & ~condition & ~law))
-        for k, a1, a2 in _cells(valid & (condition != law)):
-            k += s.start
+        report.examined += cells
+        cases += len(k)
+        failures_witnessed += int(np.count_nonzero(~condition & ~law))
+        bad = condition != law
+        for k, a1, a2 in zip(k[bad].tolist(), a1[bad].tolist(), a2[bad].tolist()):
             report.counterexamples.append(
                 ("obstruction-iff", int(p1[k]), int(q1[k]), int(p2[k]), a1, a2))
 
@@ -540,11 +564,12 @@ def verify_reverse_order(ring: RingDescriptor,
         rows = np.array([row for row, _ in combos], dtype=np.intp).reshape(-1, 7)
         b1, p1, c1, q1, b2, p2, c2 = rows.T
         literal = np.array([prod(map(len, frames)) for _, frames in combos])
-        for s, valid, condition, law in _reverse_order_cells(
+        for _, k, a1, a2, condition, law in _reverse_order_cells(
                 t, maps, b1, c1, b2, c2, q1, _complements(t, p1), p2):
-            literal_cases += int(np.count_nonzero(valid, axis=(1, 2)) @ literal[s])
-            for k, a1, a2 in _cells(valid & (condition != law)):
-                (b1k, _, c1k, _, b2k, _, c2k), frames = combos[s.start + k]
+            literal_cases += int(literal[k].sum())
+            bad = condition != law
+            for k, a1, a2 in zip(k[bad].tolist(), a1[bad].tolist(), a2[bad].tolist()):
+                (b1k, _, c1k, _, b2k, _, c2k), frames = combos[k]
                 report.counterexamples.extend(
                     ("obstruction-iff-literal", b1k, g1, c1k, h1, b2k, g2, c2k, h2, a1, a2)
                     for g1, h1, g2, h2 in product(*frames))

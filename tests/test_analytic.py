@@ -274,13 +274,17 @@ def test_choose_beta_reaches_the_grid_minimum():
 def test_choose_beta_is_no_worse_than_scipy():
     # scipy's bounded Brent search on [-8, 8] / |v a| with the same xatol is
     # only an oracle here: the library's slope search, whose range holds
-    # every contracting beta, must do as well.
+    # every contracting beta, must do as well.  The random frames that
+    # contract do so in rank 1; the positive instances add ranks 2 to 4.
     minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
     rng = np.random.default_rng(67)
-    chosen = 0
+    instances = []
     for _ in range(40):
         n = int(rng.integers(2, 7))
-        a, frame = random_frame_instance(rng, n, int(rng.integers(1, n)))
+        instances.append(random_frame_instance(rng, n, int(rng.integers(1, n))))
+    instances += [_positive_instance(rng, k) for k in (4, 5, 6, 7, 8) * 4]
+    chosen = []
+    for a, frame in instances:
         v = build_v(frame)
         va = v.payload @ a.payload
         p = va @ group_inverse(v * a).payload
@@ -297,8 +301,9 @@ def test_choose_beta_is_no_worse_than_scipy():
             assert objective(oracle.x) >= 1.0 - 1e-12
             continue
         assert objective(beta) <= objective(oracle.x) + 1e-12
-        chosen += 1
-    assert chosen >= 10
+        chosen.append(round(float(np.trace(p))))
+    assert chosen.count(1) >= 10
+    assert {2, 3, 4} <= set(chosen)
 
 
 def test_limit_examples():

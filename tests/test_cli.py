@@ -160,6 +160,32 @@ def test_non_finite_float_entry_is_status_2(capsys, literal):
     assert "needs finite entries" in out["diagnostic"]["message"]
 
 
+@pytest.mark.parametrize("ring, literal", [
+    ("R:2", "[[true,0],[0,1]]"),
+    ("Q:2", "[[1,0],[0,false]]"),
+    ("MFp:2:2", "[[true,0],[0,1]]"),
+    ("Z6", "true"),
+    ("R:2", "false"),
+])
+def test_boolean_element_literal_is_status_2(capsys, ring, literal):
+    rc = main(["compute", "--ring", ring, "--a", literal, "--b", "I", "--c", "I"])
+    assert rc == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostic"]["error"] == "ValueError"
+    assert "not booleans" in out["diagnostic"]["message"]
+
+
+@pytest.mark.parametrize("ring, a", [("R:2", [[True, 0], [0, 1]]), ("Z6", [[False]])])
+def test_boolean_element_in_a_job_file_is_status_2(tmp_path, capsys, ring, a):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"command": "compute", "ring": ring,
+                                "elements": {"a": a, "b": "I", "c": "I"}}))
+    assert main(["compute", "--job", str(path)]) == STATUS_INVALID
+    out = json.loads(capsys.readouterr().out)
+    assert out["diagnostic"]["error"] == "ValueError"
+    assert "not booleans" in out["diagnostic"]["message"]
+
+
 @pytest.mark.parametrize("command, job", [
     ("continuity", {"command": "continuity", "count": "5"}),
     ("continuity", {"command": "continuity", "count": 5.0}),

@@ -197,6 +197,29 @@ def test_planted_fault_is_reported_as_by_the_loop_sweeps(monkeypatch, suite, fau
     json.dumps(report.to_dict())
 
 
+# A budget of 1 cell leaves every block at n³ cells (one b at a time in the
+# equivalence suite); 2^30 puts each sweep in a single block.
+BUDGETS = pytest.mark.parametrize("budget", [1, 1 << 30], ids=["budget-1", "budget-2^30"])
+
+
+@BUDGETS
+def test_reports_do_not_depend_on_the_block_size(monkeypatch, budget):
+    monkeypatch.setattr(bcinv.lab, "_CELL_BUDGET", budget)
+    for ring in DEFAULT_RINGS:
+        for suite in SUITES:
+            test_reports_match_the_loop_based_sweeps(ring, suite)
+
+
+@BUDGETS
+@pytest.mark.parametrize("before", [False, True], ids=["after", "before"])
+@pytest.mark.parametrize("fault", PLANTED, ids=str)
+@pytest.mark.parametrize("suite", SUITES, ids=lambda s: s.__name__)
+def test_planted_fault_does_not_depend_on_the_block_size(monkeypatch, suite, fault, before,
+                                                         budget):
+    monkeypatch.setattr(bcinv.lab, "_CELL_BUDGET", budget)
+    test_planted_fault_is_reported_as_by_the_loop_sweeps(monkeypatch, suite, fault, before)
+
+
 def test_planted_duplicate_inverse_raises(monkeypatch):
     # 0 * 0 = 1 in Z6 makes 0 and 1 both (0,0)-inverses of 0
     table = _corrupted(RingTable, 0, 0, 1)
