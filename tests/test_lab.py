@@ -1,6 +1,9 @@
 """Exhaustive-lab suites: certification, counts, determinism, caps."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,38 @@ def test_ring_table_basics():
     assert t.inner[2] == (2, 5)
     assert t.right_image[2] == frozenset({0, 2, 4})
     assert t.right_kernel[2] == frozenset({0, 3})
+
+
+@pytest.mark.parametrize("index", [-1, True, 2.0, 6], ids=repr)
+def test_bc_inverse_map_rejects_what_is_not_an_element_index(index):
+    # -1 would wrap to the unit 5 in numpy indexing, and match no product
+    t = RingTable(Z6)
+    for b, c in ((index, 1), (1, index)):
+        with pytest.raises(ValueError, match="not an element index in range\\(6\\)"):
+            t.bc_inverse_map(b, c)
+    assert t.bc_inverse_map(5, 5) == {1: 1, 5: 5}
+
+
+def test_ring_table_does_not_enumerate_elements(monkeypatch):
+    def refuse(self):
+        raise AssertionError("RingTable enumerated the ring")
+
+    monkeypatch.setattr(RingDescriptor, "elements", refuse)
+    for ring in (Z6, M2F2, RingDescriptor.matrices_over_prime(3, 2)):
+        t = RingTable(ring, size_cap=81)
+        assert t.n == ring.size
+        assert t.mul[t.one, t.one] == t.one and t.add[t.zero, t.one] == t.one
+
+
+ZERO_ONE_RINGS = DEFAULT_RINGS + tuple(
+    RingDescriptor.matrices_over_prime(p, k) for p, k in ((3, 2), (2, 1), (3, 1), (5, 1)))
+
+
+@pytest.mark.parametrize("ring", ZERO_ONE_RINGS, ids=lambda r: r.name)
+def test_ring_table_zero_and_one_are_the_enumerated_indices(ring):
+    t = RingTable(ring, size_cap=81)
+    keys = [v.key() for v in ring.elements()]
+    assert (t.zero, t.one) == (keys.index(ring.zero().key()), keys.index(ring.one().key()))
 
 
 def test_ring_table_m2f2():
@@ -218,6 +253,51 @@ def test_planted_fault_does_not_depend_on_the_block_size(monkeypatch, suite, fau
                                                          budget):
     monkeypatch.setattr(bcinv.lab, "_CELL_BUDGET", budget)
     test_planted_fault_is_reported_as_by_the_loop_sweeps(monkeypatch, suite, fault, before)
+
+
+# i * j = value in M2(F2), corrupted after construction.  On a noncommutative
+# ring a wrong index order (v·x·u, q·a·p) shows; each fault reaches every
+# set-decomposition tag but perturbation.
+PLANTED_M2F2 = [((12, 4, 7), 358), ((15, 12, 13), 894)]
+
+
+@BUDGETS
+@pytest.mark.parametrize("fault, count", PLANTED_M2F2, ids=str)
+def test_planted_m2f2_fault_in_the_set_decomposition(monkeypatch, fault, count, budget):
+    monkeypatch.setattr(bcinv.lab, "_CELL_BUDGET", budget)
+    _plant(monkeypatch, *fault, before=False)
+    expected = lab_reference.verify_set_decomposition(M2F2)
+    report = verify_set_decomposition(M2F2)
+    assert report.statements == expected.statements
+    assert report.counterexamples == expected.counterexamples       # both sorted
+    assert len(report.counterexamples) == count
+    assert {c[0] for c in report.counterexamples} == {
+        "set-equality", "corner-scaling-set", "corner-scaling-value", "compression",
+        "inverse-of-inverse"}
+    assert all(_plain(c) for c in report.counterexamples)
+
+
+_NUMPY_MA_PROBE = """
+import sys
+from bcinv.lab import DEFAULT_RINGS
+from bcinv import (verify_bott_duffin_section, verify_equivalence_suite,
+                   verify_reverse_order, verify_set_decomposition)
+for ring in DEFAULT_RINGS:
+    for suite in (verify_equivalence_suite, verify_set_decomposition,
+                  verify_bott_duffin_section, verify_reverse_order):
+        assert suite(ring).certified, (ring.name, suite.__name__)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_lab_suites_do_not_load_numpy_ma():
+    # np.unique and friends import numpy.ma, about 1.7 MB of resident memory
+    src = str(Path(bcinv.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_PROBE], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_planted_duplicate_inverse_raises(monkeypatch):
