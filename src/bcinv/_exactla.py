@@ -33,15 +33,25 @@ up to 16 times slower than on fractions.  Dividing by the row content
 keeps the integers as small as the reduced rows allow; on those systems
 it runs 1.4 to 2.4 times faster than on fractions.
 
-Products over Q are one integer product: each row of the left factor and
-each column of the right factor is put over the lcm of its denominators,
-and one Fraction is built per output entry.
+Products over Q are one integer product on integer forms.  The integer
+form of a matrix is a pair (N, d): integer rows N over one positive
+denominator d, the lcm of the entry denominators, so that gcd(d, *N) == 1
+and the form is unique (over F_p, d = 1 and N holds the entries).  A
+product multiplies the rows, the columns and the denominators, and divides
+out their common gcd once; sums put both forms over the lcm of their
+denominators.  Elimination starts from a form, each row over the lcm of
+its own denominators, and the one-sided inverses and the rank
+factorization return forms.  Fractions are built only when entries are
+asked for.  ``rings`` keeps the form on every MFp and Q value, with its
+rank factorization once computed, and builds a value's Fraction payload
+on its first read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 
 
@@ -53,16 +63,73 @@ def _one(p):
     return 1 if p else Fraction(1)
 
 
-def _integers(rows, p):
-    """Integer rows and the factor each row was multiplied by (1 over F_p)."""
+def _frozen(rows):
+    return tuple(map(tuple, rows))
+
+
+def form(rows, p=0):
+    """Integer form (N, d) of a matrix given by its entry rows; N is a tuple of tuples."""
     if p:
-        return [[v % p for v in row] for row in rows], [1] * len(rows)
+        return _frozen([[v % p for v in row] for row in rows]), 1
+    pairs = [[v.as_integer_ratio() for v in row] for row in rows]
+    den = math.lcm(*[d for row in pairs for _, d in row])
+    return _frozen([[n * (den // d) for n, d in row] for row in pairs]), den
+
+
+def entries(F, p=0):
+    """Entry rows of an integer form: reduced Fractions over Q, ints over F_p."""
+    rows, den = F
+    if p:
+        return [list(row) for row in rows]
+    return [[_fraction(v, den) for v in row] for row in rows]
+
+
+def _canonical(rows, den):
+    """The form of the integer rows over den, both divided by their common gcd."""
+    g = math.gcd(den, *chain.from_iterable(rows)) if den > 1 else 1
+    if g > 1:
+        rows, den = [[v // g for v in row] for row in rows], den // g
+    return _frozen(rows), den
+
+
+def form_mul(A, B, p=0):
+    """Form of A @ B for forms A, B with an inner dimension of at least one."""
+    cols = tuple(zip(*B[0]))
+    if p:
+        return _frozen([[sum(map(mul, row, col)) % p for col in cols] for row in A[0]]), 1
+    return _canonical([[sum(map(mul, row, col)) for col in cols] for row in A[0]], A[1] * B[1])
+
+
+def form_sum(A, B, p=0, sign=1):
+    """Form of A + sign * B (sign is 1 or -1)."""
+    (NA, dA), (NB, dB) = A, B
+    if p:
+        return _frozen([[(x + sign * y) % p for x, y in zip(ra, rb)]
+                        for ra, rb in zip(NA, NB)]), 1
+    den = math.lcm(dA, dB)
+    fa, fb = den // dA, sign * (den // dB)
+    return _canonical([[fa * x + fb * y for x, y in zip(ra, rb)] for ra, rb in zip(NA, NB)], den)
+
+
+def form_neg(A, p=0):
+    rows, den = A
+    return _frozen([[-v % p if p else -v for v in row] for row in rows]), den
+
+
+def form_transpose(A):
+    return tuple(zip(*A[0])), A[1]
+
+
+def _integers(F):
+    """Integer rows of a form, each over the lcm of its own denominators, and those lcms."""
+    rows, den = F
+    if den == 1:
+        return [list(row) for row in rows], [1] * len(rows)
     out, dens = [], []
     for row in rows:
-        pairs = [v.as_integer_ratio() for v in row]
-        den = math.lcm(*[d for _, d in pairs])
-        out.append([n * (den // d) for n, d in pairs] if den > 1 else [n for n, _ in pairs])
-        dens.append(den)
+        g = math.gcd(den, *row)
+        out.append([v // g for v in row] if g > 1 else list(row))
+        dens.append(den // g)
     return out, dens
 
 
@@ -112,14 +179,15 @@ def _eliminate(rows, ncols, p):
     return pivots
 
 
-def _reduce(M, p, with_E=False):
-    """Eliminate M; with_E appends the transform's columns to every row."""
-    m = len(M)
-    n = len(M[0]) if m else 0
-    rows, dens = _integers(M, p)
+def _reduce(F, p, with_E=False):
+    """Eliminate the matrix with form F; with_E appends the transform's columns to every row."""
+    m = len(F[0])
+    n = len(F[0][0]) if m else 0
+    rows, dens = _integers(F)
     if with_E:
         for i, row in enumerate(rows):
-            row.extend(dens[i] if j == i else 0 for j in range(m))
+            row.extend([0] * m)
+            row[n + i] = dens[i]
     return rows, _eliminate(rows, n, p), n
 
 
@@ -129,13 +197,7 @@ def identity(n, p=0):
 
 def matmul(A, B, p=0):
     """A @ B for an inner dimension of at least one."""
-    if p:
-        cols = list(zip(*B))
-        return [[sum(map(mul, row, col)) % p for col in cols] for row in A]
-    left, lden = _integers(A, 0)
-    right, rden = _integers(list(zip(*B)), 0)
-    return [[_fraction(sum(map(mul, row, col)), dl * dr) for col, dr in zip(right, rden)]
-            for row, dl in zip(left, lden)]
+    return entries(form_mul(form(A, p), form(B, p), p), p)
 
 
 def transpose(A):
@@ -149,7 +211,7 @@ def rref(M, p=0):
     pivot rows on top and zero rows below, and E is r x m with E*M equal
     to the top r rows of R.
     """
-    rows, pivots, n = _reduce(M, p, with_E=True)
+    rows, pivots, n = _reduce(form(M, p), p, with_E=True)
     R = [_scalars(row[:n], row[pc], p) for row, pc in zip(rows, pivots)]
     R += [[_zero(p)] * n for _ in range(len(M) - len(pivots))]
     E = [_scalars(row[n:], row[pc], p) for row, pc in zip(rows, pivots)]
@@ -157,12 +219,12 @@ def rref(M, p=0):
 
 
 def rank(M, p=0):
-    return len(_reduce(M, p)[1])
+    return len(_reduce(form(M, p), p)[1])
 
 
 def null_space(M, p=0):
     """Basis of {x : M x = 0} as a list of column vectors."""
-    rows, pivots, n = _reduce(M, p)
+    rows, pivots, n = _reduce(form(M, p), p)
     basis = []
     for j in range(n):
         if j in pivots:
@@ -178,7 +240,7 @@ def null_space(M, p=0):
 def solve(A, B, p=0):
     """Any exact solution X of A X = B, or None when inconsistent."""
     n = len(A[0]) if A else 0
-    rows, pivots, _ = _reduce([a + b for a, b in zip(A, B)], p)
+    rows, pivots, _ = _reduce(form([a + b for a, b in zip(A, B)], p), p)
     if pivots and pivots[-1] >= n:
         return None
     w = len(B[0]) if B else 0
@@ -188,28 +250,63 @@ def solve(A, B, p=0):
     return X
 
 
+def _pivot_rows(rows, pivots, start, p):
+    """Form of the pivot rows from column start on, each divided by its pivot entry."""
+    if p:
+        return _frozen([row[start:] for row in rows[:len(pivots)]]), 1
+    reduced = []
+    for row, pc in zip(rows, pivots):
+        piv = row[pc]
+        g = math.gcd(piv, *row[start:])
+        g = -g if piv < 0 else g
+        reduced.append(([v // g for v in row[start:]], piv // g))
+    den = math.lcm(*[d for _, d in reduced])
+    return _frozen([[v * (den // d) for v in row] for row, d in reduced]), den
+
+
 def inverse(A, p=0):
     """Exact inverse of a square matrix, or None when singular."""
-    _, pivots, E = rref(A, p)
-    return E if len(pivots) == len(A) else None
+    F = form_inverse(form(A, p), p)
+    return None if F is None else entries(F, p)
+
+
+def form_inverse(F, p=0):
+    """Form of the inverse of the square matrix with form F, or None when singular."""
+    rows, pivots, n = _reduce(F, p, with_E=True)
+    return _pivot_rows(rows, pivots, n, p) if len(pivots) == len(F[0]) else None
 
 
 def rank_factorization(A, p=0):
     """A = B*C with B full column rank and C full row rank (r = rank A)."""
-    rows, pivots, _ = _reduce(A, p)
-    B = [[row[pc] for pc in pivots] for row in A]
-    C = [_scalars(row, row[pc], p) for row, pc in zip(rows, pivots)]
-    return B, C
+    B, C = form_rank_factorization(form(A, p), p)
+    return entries(B, p), entries(C, p)
+
+
+def form_rank_factorization(F, p=0):
+    """rank_factorization of the matrix with form F, as the forms of B and C."""
+    rows, pivots, _ = _reduce(F, p)
+    B = [[row[pc] for pc in pivots] for row in F[0]]
+    return _canonical(B, F[1]), _pivot_rows(rows, pivots, 0, p)
 
 
 def left_inverse(B, p=0):
     """L with L*B = I for a full-column-rank B."""
-    _, pivots, E = rref(B, p)
-    if len(pivots) != (len(B[0]) if B else 0):
+    return entries(form_left_inverse(form(B, p), p), p)
+
+
+def form_left_inverse(F, p=0):
+    """Form of left_inverse for the matrix with form F."""
+    rows, pivots, n = _reduce(F, p, with_E=True)
+    if len(pivots) != n:
         raise ValueError("matrix does not have full column rank")
-    return E
+    return _pivot_rows(rows, pivots, n, p)
 
 
 def right_inverse(C, p=0):
     """R with C*R = I for a full-row-rank C."""
-    return transpose(left_inverse(transpose(C), p))
+    return entries(form_right_inverse(form(C, p), p), p)
+
+
+def form_right_inverse(F, p=0):
+    """Form of right_inverse for the matrix with form F."""
+    return form_transpose(form_left_inverse(form_transpose(F), p))

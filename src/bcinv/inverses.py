@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _exactla as xla
 from .errors import (
     BcinvError,
     CapExceeded,
@@ -42,6 +43,9 @@ from .rings import (
     mat_solve,
     rank_factorization,
     values_equal,
+    _ExactValue,
+    _kept_factors,
+    _kept_svd,
     _wrap,
 )
 
@@ -49,6 +53,8 @@ from .rings import (
 VERDICT_TOL = 1e-8
 
 METHODS = ("corner", "factor", "group", "exhaustive")
+
+_SINGULAR_CORE = "corner-rank deficiency: Cr*a*B is singular"
 
 
 def _resid_zero(residual: RingValue, scale: float) -> bool:
@@ -200,18 +206,37 @@ def _bc_factor(a: RingValue, frame: CornerFrame) -> RingValue:
     if not ring.is_matrix:
         raise PreconditionFailed("factor method needs a matrix backend")
     B, Cr = _frame_factors(frame)
-    mid = mat_mul(ring, mat_mul(ring, Cr, a.payload), B)
-    mid_inv = mat_inv(ring, mid)
+    if ring.kind == FLOAT_MATRIX:
+        # The core's rank is judged against the scale of the product it
+        # comes from: ||Cr|| = 1 (orthonormal rows) and ||B|| = sigma_1(b),
+        # so rounding noise in Cr*a*B does not pass for a singular value.
+        mid_inv = mat_inv(ring, Cr @ a.payload @ B, scale=a.norm() * _kept_svd(frame.b)[1][0])
+        if mid_inv is None:
+            raise InverseAbsent(_SINGULAR_CORE)
+        return ring.element(B @ mid_inv @ Cr)
+    if not Cr[0]:
+        return ring.zero()
+    p = ring.p
+    mid_inv = xla.form_inverse(xla.form_mul(xla.form_mul(Cr, a.form, p), B, p), p)
     if mid_inv is None:
-        raise InverseAbsent("corner-rank deficiency: Cr*a*B is singular")
-    return _wrap(ring, mat_mul(ring, mat_mul(ring, B, mid_inv), Cr))
+        raise InverseAbsent(_SINGULAR_CORE)
+    return _ExactValue(ring, xla.form_mul(xla.form_mul(B, mid_inv, p), Cr, p))
 
 
-def _frame_factors(frame: CornerFrame) -> tuple[np.ndarray, np.ndarray]:
-    """The left factor of b and the right factor of c, whose ranks must agree."""
-    B, _ = rank_factorization(frame.b)
-    _, Cr = rank_factorization(frame.c)
-    if B.shape[1] != Cr.shape[0]:
+def _frame_factors(frame: CornerFrame):
+    """The left factor of b and the right factor of c, whose ranks must agree.
+
+    Arrays on R; on the exact backends the integer forms that b and c keep.
+    """
+    if frame.ring.kind == FLOAT_MATRIX:
+        B, _ = rank_factorization(frame.b)
+        _, Cr = rank_factorization(frame.c)
+        ranks = B.shape[1], Cr.shape[0]
+    else:
+        B, _ = _kept_factors(frame.b)
+        _, Cr = _kept_factors(frame.c)
+        ranks = len(B[0][0]), len(Cr[0])
+    if ranks[0] != ranks[1]:
         raise InverseAbsent("rank(b) differs from rank(c)")
     return B, Cr
 
@@ -286,7 +311,11 @@ def build_v(frame: CornerFrame) -> RingValue:
             raise InverseAbsent("p differs from q: no carrier exists")
         return frame.p
     B, Cr = _frame_factors(frame)
-    return _wrap(ring, mat_mul(ring, B, Cr))
+    if ring.kind == FLOAT_MATRIX:
+        return ring.element(B @ Cr)
+    if not Cr[0]:
+        return ring.zero()
+    return _ExactValue(ring, xla.form_mul(B, Cr, ring.p))
 
 
 def group_inverse(x: RingValue) -> RingValue:

@@ -11,6 +11,14 @@ Every value is immutable after construction and all operations are pure
 functions, so anything here is safe to evaluate concurrently.  A matrix
 value keeps its spectral norm, and a float value its SVD, once computed:
 derived state of a read-only payload, which never goes stale.
+
+An exact matrix value (MFp, Q) holds the integer form of ``_exactla``:
+integer rows over one positive denominator.  Its products, sums,
+equality and key run on that form, without Fraction objects, and it keeps
+its rank factorization once computed, so the frame's inner inverses and
+the factor route eliminate b and c once.  Its payload, the read-only
+object array of Fractions (or ints in [0, p)), is built from the form on
+its first read.
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ class RingDescriptor:
             return RingValue(self, int(data) % self.n)
         if np.isscalar(data):
             return self.scalar(data)
-        return RingValue(self, self._payload(np.asarray(data)))
+        return self._value(np.asarray(data))
 
     def scalar(self, value) -> "RingValue":
         """Scalar embedded as value * identity (matrix backends)."""
@@ -152,31 +160,31 @@ class RingDescriptor:
             return self.element(value)
         if self.kind == RATIONAL_MATRIX:
             value = Fraction(value)
-        return RingValue(self, self._payload(np.asarray(
+        return self._value(np.asarray(
             [[value if i == j else 0 * value for j in range(self.k)] for i in range(self.k)],
-            dtype=object if self.kind == RATIONAL_MATRIX else None)))
+            dtype=object if self.kind == RATIONAL_MATRIX else None))
 
-    def _payload(self, arr: np.ndarray):
+    def _value(self, arr: np.ndarray) -> "RingValue":
         if arr.shape != (self.k, self.k):
             raise DimensionMismatch(
                 f"expected a {self.k}x{self.k} matrix, got shape {arr.shape}")
         # The exact backends hold Python ints (tolist() yields them), so no
-        # numpy int64, which overflows silently, ends up in a product.
+        # numpy int64, which overflows silently, ends up in a product.  Only
+        # the integer form is built here; ints enter it as they are.
         if self.kind == PRIME_MATRIX:
-            out = np.array([[int(v) % self.p for v in row] for row in arr.tolist()],
-                           dtype=object)
-        elif self.kind == RATIONAL_MATRIX:
-            out = np.array([[Fraction(v) for v in row] for row in arr.tolist()],
-                           dtype=object)
-        else:
-            out = np.asarray(arr, dtype=np.float64).copy()
-            if not np.isfinite(out).all():
-                i, j = np.argwhere(~np.isfinite(out))[0]
-                raise PreconditionFailed(
-                    f"entry ({i + 1}, {j + 1}) is {out[i, j]}: the float backend "
-                    "needs finite entries")
+            return _ExactValue(self, xla.form([[int(v) for v in row] for row in arr.tolist()],
+                                              self.p))
+        if self.kind == RATIONAL_MATRIX:
+            return _ExactValue(self, xla.form(
+                [[v if type(v) is int else Fraction(v) for v in row] for row in arr.tolist()]))
+        out = np.asarray(arr, dtype=np.float64).copy()
+        if not np.isfinite(out).all():
+            i, j = np.argwhere(~np.isfinite(out))[0]
+            raise PreconditionFailed(
+                f"entry ({i + 1}, {j + 1}) is {out[i, j]}: the float backend "
+                "needs finite entries")
         out.setflags(write=False)
-        return out
+        return RingValue(self, out)
 
     def zero(self) -> "RingValue":
         if self.kind == MODULAR:
@@ -220,6 +228,12 @@ class RingValue:
     factorization first needs them (see _kept_svd), so constructing a value
     does no extra work.  Two threads that fill one at once store equal
     values, so the race is harmless.
+
+    MFp and Q values are _ExactValues: they keep the integer form of
+    _exactla (integer rows over one denominator), on which their arithmetic,
+    equality and keys run, and their rank factorization once computed.
+    Their payload, the read-only object array of entries, is built from the
+    form on its first read.
     """
 
     __slots__ = ("ring", "payload", "_norm", "_svd")
@@ -241,31 +255,37 @@ class RingValue:
             return self.ring.scalar(other)
         return NotImplemented
 
-    def _sum(self, out) -> "RingValue":
-        """Value of a raw entrywise sum or difference, reduced on the finite rings."""
-        if self.ring.kind == MODULAR:
-            return RingValue(self.ring, out % self.ring.n)
-        if self.ring.kind == PRIME_MATRIX:
-            out = out % self.ring.p
-        out.setflags(write=False)
-        return RingValue(self.ring, out)
-
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + sign * other, for sign 1 or -1."""
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._sum(self.payload + other.payload)
+        ring = self.ring
+        if ring.kind == MODULAR:
+            return RingValue(ring, (self.payload + sign * other.payload) % ring.n)
+        if ring.kind != FLOAT_MATRIX:
+            return _ExactValue(ring, xla.form_sum(self.form, other.form, ring.p, sign))
+        out = self.payload + other.payload if sign > 0 else self.payload - other.payload
+        out.setflags(write=False)
+        return RingValue(ring, out)
+
+    def __add__(self, other):
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._sum(-self.payload)
+        ring = self.ring
+        if ring.kind == MODULAR:
+            return RingValue(ring, -self.payload % ring.n)
+        if ring.kind != FLOAT_MATRIX:
+            return _ExactValue(ring, xla.form_neg(self.form, ring.p))
+        out = -self.payload
+        out.setflags(write=False)
+        return RingValue(ring, out)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._sum(self.payload - other.payload)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -279,11 +299,9 @@ class RingValue:
             return NotImplemented
         if self.ring.kind == MODULAR:
             return RingValue(self.ring, (self.payload * other.payload) % self.ring.n)
-        if self.ring.kind == FLOAT_MATRIX:
-            out = self.payload @ other.payload
-        else:
-            out = np.array(xla.matmul(self.payload.tolist(), other.payload.tolist(),
-                                      self.ring.p), dtype=object)
+        if self.ring.kind != FLOAT_MATRIX:
+            return _ExactValue(self.ring, xla.form_mul(self.form, other.form, self.ring.p))
+        out = self.payload @ other.payload
         out.setflags(write=False)
         return RingValue(self.ring, out)
 
@@ -312,9 +330,10 @@ class RingValue:
         if self.ring.kind == MODULAR:
             return self.payload
         if self.ring.kind == PRIME_MATRIX:
-            return tuple(int(v) for v in self.payload.reshape(-1))
+            return tuple(itertools.chain.from_iterable(self.form[0]))
         if self.ring.kind == RATIONAL_MATRIX:
-            return tuple((f.numerator, f.denominator) for f in self.payload.reshape(-1))
+            rows, den = self.form
+            return tuple(_lowest_terms(v, den) for v in itertools.chain.from_iterable(rows))
         raise TypeError("float matrices have no canonical key")
 
     def is_zero(self) -> bool:
@@ -322,11 +341,13 @@ class RingValue:
             return self.payload == 0
         if self.ring.kind == FLOAT_MATRIX:
             return self == self.ring.zero()
-        return not any(self.payload.flat)
+        return not any(map(any, self.form[0]))
 
     def transpose(self) -> "RingValue":
         if self.ring.kind == MODULAR:
             return self
+        if self.ring.kind != FLOAT_MATRIX:
+            return _ExactValue(self.ring, xla.form_transpose(self.form))
         out = self.payload.T.copy()
         out.setflags(write=False)
         return RingValue(self.ring, out)
@@ -350,6 +371,35 @@ class RingValue:
         return f"<{self.ring.name} {np.asarray(self.payload).tolist()}>"
 
 
+class _ExactValue(RingValue):
+    """An MFp or Q value, held as its integer form (rows, den).
+
+    payload is built from the form on its first read, and _factors (see
+    _kept_factors) once first needed.  The lazy slots and __getattr__ live
+    on this class only, so float and Zn values pay nothing for them.
+    """
+
+    __slots__ = ("form", "_factors")
+
+    def __init__(self, ring: RingDescriptor, form):
+        self.ring = ring
+        self.form = form
+
+    def __getattr__(self, name):
+        # Called only when a slot is unset: build the payload on its first read.
+        if name != "payload":
+            raise AttributeError(name)
+        out = _from_lists(xla.entries(self.form, self.ring.p), (self.ring.k, self.ring.k))
+        out.setflags(write=False)
+        self.payload = out
+        return out
+
+
+def _lowest_terms(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 def values_equal(x: RingValue, y: RingValue, tol: float | None = None) -> bool:
     """Backend equality; normwise relative with an absolute floor on floats."""
     if x.ring != y.ring:
@@ -358,7 +408,7 @@ def values_equal(x: RingValue, y: RingValue, tol: float | None = None) -> bool:
     if x.ring.kind == MODULAR:
         return x.payload == y.payload
     if x.ring.kind in (PRIME_MATRIX, RATIONAL_MATRIX):
-        return bool(np.all(x.payload == y.payload))
+        return x.form == y.form
     if tol is None:
         tol = x.ring.tol
     diff = np.linalg.norm(x.payload - y.payload)
@@ -400,16 +450,15 @@ def _from_lists(rows, shape) -> np.ndarray:
 def _wrap(ring: RingDescriptor, arr: np.ndarray) -> RingValue:
     """Ring value holding a fresh result of the backend linear algebra.
 
-    Exact results already hold canonical entries (Fractions, or ints in
-    [0, p)), so they are adopted as they are instead of converted again.
+    An exact result keeps only its integer form; its payload is rebuilt
+    from that on first read.
     """
     if ring.kind == FLOAT_MATRIX:
         return ring.element(arr)
     if arr.shape != (ring.k, ring.k):
         raise DimensionMismatch(
             f"expected a {ring.k}x{ring.k} matrix, got shape {arr.shape}")
-    arr.setflags(write=False)
-    return RingValue(ring, arr)
+    return _ExactValue(ring, xla.form(arr.tolist(), ring.p))
 
 
 def _spectral_norm(arr: np.ndarray) -> float:
@@ -435,15 +484,21 @@ def _kept_svd(x: RingValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return usv
 
 
-def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = None) -> int:
-    """Numerical rank of arr; s are its singular values when the caller has them."""
+def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = None,
+                scale: float | None = None) -> int:
+    """Numerical rank of arr; s are its singular values when the caller has them.
+
+    The threshold is relative to scale, by default the largest singular
+    value of arr; a caller whose arr is a product passes a bound on the
+    norms of its factors instead.
+    """
     if arr.size == 0:
         return 0
     if s is None:
         s = np.linalg.svd(arr, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    threshold = ring.rank_tol * max(arr.shape) * s[0]
+    threshold = ring.rank_tol * max(arr.shape) * (s[0] if scale is None else scale)
     return int(np.sum(s > threshold))
 
 
@@ -517,8 +572,11 @@ def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
     return _from_lists(X, (A.shape[1], B.shape[1]))
 
 
-def mat_inv(ring: RingDescriptor, A: np.ndarray):
-    """Inverse of a square raw matrix, or None when singular."""
+def mat_inv(ring: RingDescriptor, A: np.ndarray, scale: float | None = None):
+    """Inverse of a square raw matrix, or None when singular.
+
+    scale is the float rank threshold's scale (see _float_rank).
+    """
     A = np.asarray(A)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch("only square matrices can be inverted")
@@ -526,7 +584,7 @@ def mat_inv(ring: RingDescriptor, A: np.ndarray):
         return A.copy()
     if ring.kind == FLOAT_MATRIX:
         A = np.asarray(A, dtype=float)
-        if _float_rank(ring, A) < A.shape[0]:
+        if _float_rank(ring, A, scale=scale) < A.shape[0]:
             return None
         return np.linalg.inv(A)
     inv = xla.inverse(_to_lists(A), _field(ring))
@@ -583,8 +641,16 @@ def rank_factorization(x: RingValue):
         u, s, vh = _kept_svd(x)
         r = _float_rank(ring, x.payload, s)
         return u[:, :r] * s[:r], vh[:r].copy()
-    B, C = xla.rank_factorization(_to_lists(x.payload), _field(ring))
+    B, C = (xla.entries(F, ring.p) for F in _kept_factors(x))
     return _from_lists(B, (ring.k, len(C))), _from_lists(C, (len(C), ring.k))
+
+
+def _kept_factors(x: RingValue) -> tuple[tuple, tuple]:
+    """Integer forms of the exact rank factorization (B, C) of x, computed once and kept on it."""
+    factors = getattr(x, "_factors", None)
+    if factors is None:
+        factors = x._factors = xla.form_rank_factorization(x.form, x.ring.p)
+    return factors
 
 
 def canonical_inner_inverse(b: RingValue) -> RingValue:
@@ -612,12 +678,11 @@ def canonical_inner_inverse(b: RingValue) -> RingValue:
             return ring.zero()
         g = (vh[:r, :].T / s[:r]) @ u[:, :r].T
         return ring.element(g)
-    field = _field(ring)
-    B, C = xla.rank_factorization(_to_lists(b.payload), field)
-    if not C:
+    B, C = _kept_factors(b)
+    if not C[0]:
         return ring.zero()
-    g = xla.matmul(xla.right_inverse(C, field), xla.left_inverse(B, field), field)
-    return _wrap(ring, _from_lists(g, (ring.k, ring.k)))
+    return _ExactValue(ring, xla.form_mul(xla.form_right_inverse(C, ring.p),
+                                          xla.form_left_inverse(B, ring.p), ring.p))
 
 
 def normalized_inner_inverse(b: RingValue, w: RingValue) -> RingValue:

@@ -75,6 +75,17 @@ def test_compute_command_absent_inverse():
     assert "corner-rank" in report["diagnostic"]["message"]
 
 
+def test_compute_refuses_a_float_core_of_rounding_noise(capsys):
+    # Cr*a*B is [[-2.7e-15]] here: rounding noise against the scale of
+    # ||a|| * ||b||, so R:2 refuses the job as Q:2 does.
+    job = ["--a", "[[2,3],[3,-3]]", "--b", "[[0,0],[6,0]]", "--c", "[[-2,-2],[2,2]]"]
+    for ring in ("R:2", "Q:2"):
+        assert main(["compute", "--ring", ring, *job]) == STATUS_REFUTED
+        report = json.loads(capsys.readouterr().out)
+        assert report["diagnostic"]["error"] == "InverseAbsent", ring
+        assert "corner-rank" in report["diagnostic"]["message"], ring
+
+
 def test_lab_command_m2f2():
     job = JobSpec("lab", ring="M2F2", suite="equivalences")
     status, report = run(job)

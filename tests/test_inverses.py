@@ -1,5 +1,7 @@
 """Generalized inverses: worked instances, method agreement, invariants."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,6 +33,7 @@ from bcinv import (
     unit_consistency,
     verify_bc_inverse,
 )
+from bcinv import _exactla
 from helpers import (
     m2f2_bc_inverse,
     m2f2_elements,
@@ -518,3 +521,46 @@ def test_perturbation_invariance_modular(n, data):
         if (q * m * p) % n == 0:
             assert perturb_invariant(ring.element(a), frame, ring.element(m)) \
                 == ring.element(zn_bc_inverse(n, a, b, c))
+
+
+# A Q:6 job with b and c of rank 2, and the values of g, h, p, q and y that
+# elimination on Fractions gives for it (rows of space-separated entries).
+Q6 = RingDescriptor.rational_matrices(6)
+Q6_JOB = (
+    [[-3, 2, 0, -2, 3, 1], [0, -2, 3, 1, -1, -3], [3, 1, -1, -3, 2, 0],
+     [-1, -3, 2, 0, -2, 3], [2, 0, -2, 3, 1, -1], [-2, 3, 1, -1, -3, 2]],
+    [[1, 0, 2, 0, -1, 1], [0, 1, 1, -1, 0, 2], [1, 1, 3, -1, -1, 3],
+     [0, 0, 0, 0, 0, 0], [1, -1, 1, 1, -1, -1], [0, 2, 2, -2, 0, 4]],
+    [[2, 1, 0, 0, 1, -1], [0, 0, 0, 0, 0, 0], [0, 0, 1, 1, -1, 1],
+     [2, 1, 1, 1, 0, 0], [2, 1, -2, -2, 3, -3], [0, 0, 1, 1, -1, 1]],
+)
+_ZERO_ROW = "0 0 0 0 0 0"
+Q6_JOB_VALUES = {
+    "g": ["1 0 0 0 0 0", "0 1 0 0 0 0"] + [_ZERO_ROW] * 4,
+    "h": ["1/2 0 0 0 0 0", _ZERO_ROW, "0 0 1 0 0 0"] + [_ZERO_ROW] * 3,
+    "p": ["1 0 0 0 0 0", "0 1 0 0 0 0", "1 1 0 0 0 0", _ZERO_ROW, "1 -1 0 0 0 0",
+          "0 2 0 0 0 0"],
+    "q": ["1 1/2 0 0 1/2 -1/2", _ZERO_ROW, "0 0 1 1 -1 1"] + [_ZERO_ROW] * 3,
+    "y": ["14/37 7/37 6/37 6/37 1/37 -1/37", "4/111 2/111 7/111 7/111 -5/111 5/111",
+          "46/111 23/111 25/111 25/111 -2/111 2/111", _ZERO_ROW,
+          "38/111 19/111 11/111 11/111 8/111 -8/111", "8/111 4/111 14/111 14/111 -10/111 10/111"],
+}
+
+
+def test_exact_job_eliminates_b_and_c_once(monkeypatch):
+    # b and c keep their rank factorizations, so the factor route reuses the
+    # ones the frame's inner inverses took: for each of b and c one
+    # factorization and two one-sided inverses, plus one inverse of the core
+    # Cr*a*B.
+    calls = []
+    eliminate = _exactla._eliminate
+    monkeypatch.setattr(_exactla, "_eliminate",
+                        lambda *args: calls.append(1) or eliminate(*args))
+    a, b, c = (Q6.element(m) for m in Q6_JOB)
+    frame = CornerFrame.make(b, c)
+    y = bc_inverse(a, frame)
+    assert verify_bc_inverse(a, frame, y).verdict
+    assert len(calls) <= 7
+    got = {"g": frame.g, "h": frame.h, "p": frame.p, "q": frame.q, "y": y}
+    for name, rows in Q6_JOB_VALUES.items():
+        assert got[name] == Q6.element([[Fraction(v) for v in row.split()] for row in rows]), name

@@ -15,6 +15,7 @@ from bcinv import (
     PreconditionFailed,
     RingDescriptor,
     RingMismatch,
+    RingValue,
     bc_inverse,
     canonical_inner_inverse,
     ideal,
@@ -439,3 +440,106 @@ def test_float_factorizations_share_one_svd_and_hand_out_fresh_arrays(monkeypatc
     assert np.array_equal(canonical_inner_inverse(x).payload, g)
     assert calls == []              # both read the SVD kept since the first call
     assert np.allclose(B2 @ C2, x.payload)
+
+
+# -- the integer form of exact values against entrywise Fraction / mod-p arithmetic
+
+EXACT_PRIMES = (2, 3, 65521, 2147483647)
+BIG = 10 ** 30
+
+# 60 examples in tier-1; a hypothesis profile that asks for more than the
+# library default (the ci profile in conftest.py) gets them.
+_PROFILE_EXAMPLES = settings.default.max_examples
+EXACT_FORM = settings(deadline=None,
+                      max_examples=_PROFILE_EXAMPLES if _PROFILE_EXAMPLES > 100 else 60)
+
+
+def _rationals():
+    size = st.integers(0, 9) | st.integers(0, BIG)
+    return st.builds(lambda sign, num, den: Fraction(sign * num, den),
+                     st.sampled_from([-1, 1]), size, st.integers(1, 9) | st.integers(1, BIG))
+
+
+@st.composite
+def exact_operands(draw):
+    """(ring, p, [A, B]): entry rows of Q:k (p = 0) or MFp:p:k, k = 1..4, some all zero."""
+    p = draw(st.sampled_from((0,) + EXACT_PRIMES))
+    k = draw(st.integers(1, 4))
+    ring = RingDescriptor.matrices_over_prime(p, k) if p else RingDescriptor.rational_matrices(k)
+    entry = st.integers(0, p - 1) if p else _rationals()
+    scalar = int if p else Fraction
+    matrices = []
+    for _ in range(2):
+        if draw(st.integers(0, 3)) == 0:
+            matrices.append([[scalar(0)] * k for _ in range(k)])
+        else:
+            matrices.append([[draw(entry) for _ in range(k)] for _ in range(k)])
+    return ring, p, matrices
+
+
+def _has_payload(value) -> bool:
+    """Whether the payload slot is filled, read without building it."""
+    try:
+        RingValue.payload.__get__(value)
+    except AttributeError:
+        return False
+    return True
+
+
+def _check_value(value, want, p):
+    """value holds the entry rows want, with a read-only payload of reduced
+    Fractions (p = 0) or ints in [0, p), and the key, hash, zero test and
+    norm that those entries give."""
+    arr = value.payload
+    assert arr.dtype == object and arr.shape == (len(want), len(want))
+    with pytest.raises(ValueError):
+        arr[0, 0] = arr[0, 0]
+    for v in arr.flat:
+        if p:
+            assert type(v) is int and 0 <= v < p
+        else:
+            assert type(v) is Fraction
+            assert type(v.numerator) is int and type(v.denominator) is int
+    assert arr.tolist() == want
+    flat = [v for row in want for v in row]
+    key = tuple(flat) if p else tuple((v.numerator, v.denominator) for v in flat)
+    assert value.key() == key and hash(value) == hash(key)
+    assert value.is_zero() == (not any(flat))
+    assert value.norm() == _spectral_norm(np.array([[float(v) for v in row] for row in want]))
+
+
+@EXACT_FORM
+@given(exact_operands(), st.lists(st.booleans(), min_size=2, max_size=2))
+def test_exact_arithmetic_matches_entrywise_fractions(case, payload_read):
+    ring, p, (A, B) = case
+    k = ring.k
+    red = (lambda v: v % p) if p else (lambda v: v)
+
+    def mul(X, Y):
+        return [[red(sum(x * y for x, y in zip(row, col))) for col in zip(*Y)] for row in X]
+
+    def add(X, Y, sign=1):
+        return [[red(x + sign * y) for x, y in zip(rx, ry)] for rx, ry in zip(X, Y)]
+
+    one = [[(int if p else Fraction)(1 if i == j else 0) for j in range(k)] for i in range(k)]
+    # Products hold only the integer form until their payload is read.
+    x, y = (ring.element(M) * ring.one() for M in (A, B))
+    for value, M, read in zip((x, y), (A, B), payload_read):
+        assert not _has_payload(value)
+        if read:
+            assert value.payload.tolist() == M
+    assert not _has_payload(x * y)
+    cases = {
+        "x": (x, A), "x*y": (x * y, mul(A, B)), "y*x": (y * x, mul(B, A)),
+        "x+y": (x + y, add(A, B)), "x-y": (x - y, add(A, B, -1)), "-x": (-x, add(A, A, -2)),
+        "2*x": (2 * x, add(A, A)), "x*2": (x * 2, add(A, A)), "1-x": (1 - x, add(one, A, -1)),
+        "x-1": (x - 1, add(A, one, -1)), "x.T": (x.transpose(), [list(c) for c in zip(*A)]),
+        "x*y*x-x": (x * y * x - x, add(mul(mul(A, B), A), A, -1)),
+    }
+    for name, (value, want) in cases.items():
+        assert value.ring == ring, name
+        _check_value(value, want, p)
+    assert (x == y) == (A == B) == (y == x)
+    assert x == ring.element(A) and ring.element(A) == x
+    assert (x - x).is_zero() and x - x == ring.zero()
+    assert (x + y) - y == x
