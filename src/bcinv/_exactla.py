@@ -1,8 +1,18 @@
 """Exact linear algebra over a prime field F_p or the rationals, on Python ints.
 
-Matrices are lists of rows.  ``p`` names the field: a prime for F_p, or 0
-for Q, whose entries are ``Fraction``s (ints and floats are read exactly
-too).  Results over F_p are ints in [0, p), over Q ``Fraction``s.
+A matrix is held as its integer form (N, d): integer rows N, a tuple of
+tuples, over one positive denominator d, the lcm of the entry
+denominators, so that gcd(d, *N) == 1 and the form is unique.  ``p`` names
+the field: a prime for F_p, where d = 1 and N holds the entries in [0, p),
+or 0 for Q.  Every routine here takes and returns forms; ``form`` builds
+one from entry rows (ints, Fractions and floats are read exactly) and
+``entries`` gives the entry rows back, reduced Fractions over Q and ints
+over F_p.  A form without rows has lost its column count, so the routines
+that need it take it as an argument.
+
+A product multiplies the rows, the columns and the denominators, and
+divides out their common gcd once; sums put both forms over the lcm of
+their denominators.
 
 All elimination runs through one Gauss-Jordan loop on integer rows,
 ``_eliminate``.  Pivoting is deterministic (first nonzero entry at or below
@@ -11,11 +21,11 @@ reproducible.
 
 * Over F_p the pivot row is scaled to a leading 1 and every other row
   becomes x - f*y reduced mod p.
-* Over Q each row is first multiplied by the lcm of its denominators, and
-  the loop is fraction-free: with piv the pivot and f the row's entry in
-  the pivot column, a row becomes (piv*x - f*y) / c, where c is the gcd of
-  the integers piv*x - f*y over the row (piv and f first divided by their
-  own gcd).  c divides every entry by definition, so the division is exact,
+* Over Q each row starts over the lcm of its own denominators, and the
+  loop is fraction-free: with piv the pivot and f the row's entry in the
+  pivot column, a row becomes (piv*x - f*y) / c, where c is the gcd of the
+  integers piv*x - f*y over the row (piv and f first divided by their own
+  gcd).  c divides every entry by definition, so the division is exact,
   and an updated row is the smallest integer multiple of its rational row.
   At the end a pivot row divided by its pivot entry is the reduced row.
 
@@ -32,19 +42,6 @@ entries near 1e30) they grew to thousands of digits, and elimination ran
 up to 16 times slower than on fractions.  Dividing by the row content
 keeps the integers as small as the reduced rows allow; on those systems
 it runs 1.4 to 2.4 times faster than on fractions.
-
-Products over Q are one integer product on integer forms.  The integer
-form of a matrix is a pair (N, d): integer rows N over one positive
-denominator d, the lcm of the entry denominators, so that gcd(d, *N) == 1
-and the form is unique (over F_p, d = 1 and N holds the entries).  A
-product multiplies the rows, the columns and the denominators, and divides
-out their common gcd once; sums put both forms over the lcm of their
-denominators.  Elimination starts from a form, each row over the lcm of
-its own denominators, and the one-sided inverses and the rank
-factorization return forms.  Fractions are built only when entries are
-asked for.  ``rings`` keeps the form on every MFp and Q value, with its
-rank factorization once computed, and builds a value's Fraction payload
-on its first read.
 """
 
 from __future__ import annotations
@@ -53,14 +50,6 @@ import math
 from fractions import Fraction
 from itertools import chain
 from operator import mul
-
-
-def _zero(p):
-    return 0 if p else Fraction(0)
-
-
-def _one(p):
-    return 1 if p else Fraction(1)
 
 
 def _frozen(rows):
@@ -92,6 +81,19 @@ def _canonical(rows, den):
     return _frozen(rows), den
 
 
+def _common(A, B):
+    """The rows of forms A and B over the lcm of their denominators, and that lcm.
+
+    Both stay in lowest terms together: each prime power in the lcm is all
+    of one form's denominator, whose rows are scaled by a factor prime to it.
+    """
+    (NA, dA), (NB, dB) = A, B
+    den = math.lcm(dA, dB)
+    scaled = [N if den == d else _frozen([[v * (den // d) for v in row] for row in N])
+              for N, d in ((NA, dA), (NB, dB))]
+    return scaled[0], scaled[1], den
+
+
 def form_mul(A, B, p=0):
     """Form of A @ B for forms A, B with an inner dimension of at least one."""
     cols = tuple(zip(*B[0]))
@@ -120,6 +122,32 @@ def form_transpose(A):
     return tuple(zip(*A[0])), A[1]
 
 
+def form_hstack(A, B):
+    """Form of [A | B] for forms with the same rows."""
+    NA, NB, den = _common(A, B)
+    return tuple(ra + rb for ra, rb in zip(NA, NB)), den
+
+
+def form_vstack(A, B):
+    """Form of A over B for forms with the same columns."""
+    NA, NB, den = _common(A, B)
+    return NA + NB, den
+
+
+def form_kron(A, B, p=0):
+    """Form of the Kronecker product of A and B (numpy.kron's layout)."""
+    rows = [[x * y for x in ra for y in rb] for ra in A[0] for rb in B[0]]
+    if p:
+        return _frozen([[v % p for v in row] for row in rows]), 1
+    return _canonical(rows, A[1] * B[1])
+
+
+def form_reshape(A, ncols):
+    """Form of A with its entries, read row by row, regrouped into rows of ncols."""
+    flat = tuple(chain.from_iterable(A[0]))
+    return tuple(flat[i:i + ncols] for i in range(0, len(flat), ncols)), A[1]
+
+
 def _integers(F):
     """Integer rows of a form, each over the lcm of its own denominators, and those lcms."""
     rows, den = F
@@ -136,11 +164,6 @@ def _integers(F):
 def _fraction(num, den):
     # Fraction(int) skips the gcd that Fraction(num, den) takes.
     return Fraction(num) if den == 1 else Fraction(num, den)
-
-
-def _scalars(xs, piv, p):
-    """Entries of an eliminated pivot row divided by its pivot piv."""
-    return list(xs) if p else [_fraction(x, piv) for x in xs]
 
 
 def _eliminate(rows, ncols, p):
@@ -180,7 +203,10 @@ def _eliminate(rows, ncols, p):
 
 
 def _reduce(F, p, with_E=False):
-    """Eliminate the matrix with form F; with_E appends the transform's columns to every row."""
+    """Eliminate the matrix with form F; with_E appends the transform's columns to every row.
+
+    Returns the eliminated rows, the pivot columns and F's column count n.
+    """
     m = len(F[0])
     n = len(F[0][0]) if m else 0
     rows, dens = _integers(F)
@@ -189,65 +215,6 @@ def _reduce(F, p, with_E=False):
             row.extend([0] * m)
             row[n + i] = dens[i]
     return rows, _eliminate(rows, n, p), n
-
-
-def identity(n, p=0):
-    return [[_one(p) if i == j else _zero(p) for j in range(n)] for i in range(n)]
-
-
-def matmul(A, B, p=0):
-    """A @ B for an inner dimension of at least one."""
-    return entries(form_mul(form(A, p), form(B, p), p), p)
-
-
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
-def rref(M, p=0):
-    """Reduced row echelon form.
-
-    Returns (R, pivots, E): R is m x n, with the rank r = len(pivots)
-    pivot rows on top and zero rows below, and E is r x m with E*M equal
-    to the top r rows of R.
-    """
-    rows, pivots, n = _reduce(form(M, p), p, with_E=True)
-    R = [_scalars(row[:n], row[pc], p) for row, pc in zip(rows, pivots)]
-    R += [[_zero(p)] * n for _ in range(len(M) - len(pivots))]
-    E = [_scalars(row[n:], row[pc], p) for row, pc in zip(rows, pivots)]
-    return R, pivots, E
-
-
-def rank(M, p=0):
-    return len(_reduce(form(M, p), p)[1])
-
-
-def null_space(M, p=0):
-    """Basis of {x : M x = 0} as a list of column vectors."""
-    rows, pivots, n = _reduce(form(M, p), p)
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        vec = [_zero(p)] * n
-        vec[j] = _one(p)
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row[j] % p if p else _fraction(-row[j], row[pc])
-        basis.append(vec)
-    return basis
-
-
-def solve(A, B, p=0):
-    """Any exact solution X of A X = B, or None when inconsistent."""
-    n = len(A[0]) if A else 0
-    rows, pivots, _ = _reduce(form([a + b for a, b in zip(A, B)], p), p)
-    if pivots and pivots[-1] >= n:
-        return None
-    w = len(B[0]) if B else 0
-    X = [[_zero(p)] * w for _ in range(n)]
-    for row, pc in zip(rows, pivots):
-        X[pc] = _scalars(row[n:], row[pc], p)
-    return X
 
 
 def _pivot_rows(rows, pivots, start, p):
@@ -264,10 +231,35 @@ def _pivot_rows(rows, pivots, start, p):
     return _frozen([[v * (den // d) for v in row] for row, d in reduced]), den
 
 
-def inverse(A, p=0):
-    """Exact inverse of a square matrix, or None when singular."""
-    F = form_inverse(form(A, p), p)
-    return None if F is None else entries(F, p)
+def rank(F, p=0):
+    return len(_reduce(F, p)[1])
+
+
+def null_space(F, n, p=0):
+    """Form of an n x (n - rank) matrix whose columns span {x : M x = 0}.
+
+    M is the m x n matrix with form F; n is given because a form without
+    rows has lost it.  The column of free column j has a 1 in row j.
+    """
+    rows, pivots, _ = _reduce(F, p)
+    R, den = _pivot_rows(rows, pivots, 0, p)
+    free = [j for j in range(n) if j not in pivots]
+    pivot_row = dict(zip(pivots, R))
+    basis = [[den if j == t else 0 for j in free] if (row := pivot_row.get(t)) is None
+             else [-row[j] % p if p else -row[j] for j in free] for t in range(n)]
+    return _canonical(basis, den)
+
+
+def solve(A, B, p=0):
+    """Form of any exact solution X of A X = B, or None when inconsistent (A has rows)."""
+    n = len(A[0][0])
+    rows, pivots, _ = _reduce(form_hstack(A, B), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    X, den = _pivot_rows(rows, pivots, n, p)
+    pivot_row = dict(zip(pivots, X))
+    zero = (0,) * len(B[0][0])
+    return tuple(pivot_row.get(t, zero) for t in range(n)), den
 
 
 def form_inverse(F, p=0):
@@ -276,37 +268,21 @@ def form_inverse(F, p=0):
     return _pivot_rows(rows, pivots, n, p) if len(pivots) == len(F[0]) else None
 
 
-def rank_factorization(A, p=0):
-    """A = B*C with B full column rank and C full row rank (r = rank A)."""
-    B, C = form_rank_factorization(form(A, p), p)
-    return entries(B, p), entries(C, p)
-
-
 def form_rank_factorization(F, p=0):
-    """rank_factorization of the matrix with form F, as the forms of B and C."""
+    """Forms of B and C with F = B*C: F's pivot columns and the nonzero rows of its RREF."""
     rows, pivots, _ = _reduce(F, p)
     B = [[row[pc] for pc in pivots] for row in F[0]]
     return _canonical(B, F[1]), _pivot_rows(rows, pivots, 0, p)
 
 
-def left_inverse(B, p=0):
-    """L with L*B = I for a full-column-rank B."""
-    return entries(form_left_inverse(form(B, p), p), p)
-
-
 def form_left_inverse(F, p=0):
-    """Form of left_inverse for the matrix with form F."""
+    """Form of L with L*B = I for the full-column-rank matrix B with form F."""
     rows, pivots, n = _reduce(F, p, with_E=True)
     if len(pivots) != n:
         raise ValueError("matrix does not have full column rank")
     return _pivot_rows(rows, pivots, n, p)
 
 
-def right_inverse(C, p=0):
-    """R with C*R = I for a full-row-rank C."""
-    return entries(form_right_inverse(form(C, p), p), p)
-
-
 def form_right_inverse(F, p=0):
-    """Form of right_inverse for the matrix with form F."""
+    """Form of R with C*R = I for the full-row-rank matrix C with form F."""
     return form_transpose(form_left_inverse(form_transpose(F), p))

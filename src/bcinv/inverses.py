@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _exactla as xla
 from .errors import (
     BcinvError,
     CapExceeded,
@@ -27,7 +26,6 @@ from .errors import (
 from .rings import (
     ENUM_CAP,
     FLOAT_MATRIX,
-    PRIME_MATRIX,
     RingDescriptor,
     RingValue,
     canonical_inner_inverse,
@@ -37,20 +35,30 @@ from .rings import (
     is_right_invertible,
     is_unit,
     mat_inv,
+    mat_kron,
     mat_mul,
     mat_null_basis,
     mat_rank,
+    mat_reshape,
     mat_solve,
-    rank_factorization,
+    mat_transpose,
+    mat_vstack,
     values_equal,
-    _ExactValue,
-    _kept_factors,
+    _as_raw,
+    _factors,
     _kept_svd,
+    _rank_and_norm,
+    _raw,
+    _shape,
     _wrap,
 )
 
 # Scale-aware residual tolerance for float verdicts.
 VERDICT_TOL = 1e-8
+
+# Float verdicts also hold b - y*a*b and c - c*a*y to this share of b and c
+# (Frobenius norms), which a y blown up by a rounding-noise core cannot meet.
+TARGET_TOL = 1e-4
 
 METHODS = ("corner", "factor", "group", "exhaustive")
 
@@ -165,6 +173,9 @@ def verify_bc_inverse(a: RingValue, frame: CornerFrame, y: RingValue) -> BcCerti
         scale = 1.0 + na + frame.b.norm() + frame.c.norm() + ny + ny * na
     verdict = all(_resid_zero(r, scale)
                   for r in (membership, left_eq, right_eq, outer))
+    if verdict and a.ring.kind == FLOAT_MATRIX:
+        verdict = all(np.linalg.norm(r.payload) <= TARGET_TOL * np.linalg.norm(t.payload)
+                      for r, t in ((left_eq, frame.b), (right_eq, frame.c)))
     return BcCertificate(y, membership, left_eq, right_eq, outer, verdict)
 
 
@@ -206,37 +217,33 @@ def _bc_factor(a: RingValue, frame: CornerFrame) -> RingValue:
     if not ring.is_matrix:
         raise PreconditionFailed("factor method needs a matrix backend")
     B, Cr = _frame_factors(frame)
-    if ring.kind == FLOAT_MATRIX:
-        # The core's rank is judged against the scale of the product it
-        # comes from: ||Cr|| = 1 (orthonormal rows) and ||B|| = sigma_1(b),
-        # so rounding noise in Cr*a*B does not pass for a singular value.
-        mid_inv = mat_inv(ring, Cr @ a.payload @ B, scale=a.norm() * _kept_svd(frame.b)[1][0])
-        if mid_inv is None:
-            raise InverseAbsent(_SINGULAR_CORE)
-        return ring.element(B @ mid_inv @ Cr)
-    if not Cr[0]:
+    # On R the core's rank is judged against the scale of the product it
+    # comes from: ||Cr|| = 1 (orthonormal rows) and ||B|| = sigma_1(b), so
+    # rounding noise in Cr*a*B does not pass for a singular value.
+    scale = a.norm() * _kept_svd(frame.b)[1][0] if ring.kind == FLOAT_MATRIX else None
+    return _through_core(a, B, Cr, scale, _SINGULAR_CORE)
+
+
+def _through_core(a: RingValue, L, R, scale: float | None, singular: str) -> RingValue:
+    """L*(R*a*L)^{-1}*R for raw L, R; InverseAbsent(singular) when the core R*a*L is.
+
+    Zero when R has no rows.  scale is the float rank threshold's, a bound
+    on ||R||*||a||*||L|| (see mat_inv).
+    """
+    ring = a.ring
+    if not _shape(R)[0]:
         return ring.zero()
-    p = ring.p
-    mid_inv = xla.form_inverse(xla.form_mul(xla.form_mul(Cr, a.form, p), B, p), p)
-    if mid_inv is None:
-        raise InverseAbsent(_SINGULAR_CORE)
-    return _ExactValue(ring, xla.form_mul(xla.form_mul(B, mid_inv, p), Cr, p))
+    core_inv = mat_inv(ring, mat_mul(ring, mat_mul(ring, R, _raw(a)), L), scale)
+    if core_inv is None:
+        raise InverseAbsent(singular)
+    return _wrap(ring, mat_mul(ring, mat_mul(ring, L, core_inv), R))
 
 
 def _frame_factors(frame: CornerFrame):
-    """The left factor of b and the right factor of c, whose ranks must agree.
-
-    Arrays on R; on the exact backends the integer forms that b and c keep.
-    """
-    if frame.ring.kind == FLOAT_MATRIX:
-        B, _ = rank_factorization(frame.b)
-        _, Cr = rank_factorization(frame.c)
-        ranks = B.shape[1], Cr.shape[0]
-    else:
-        B, _ = _kept_factors(frame.b)
-        _, Cr = _kept_factors(frame.c)
-        ranks = len(B[0][0]), len(Cr[0])
-    if ranks[0] != ranks[1]:
+    """The left factor of b and the right factor of c (raw), whose ranks must agree."""
+    B, _ = _factors(frame.b)
+    _, Cr = _factors(frame.c)
+    if _shape(B)[1] != _shape(Cr)[0]:
         raise InverseAbsent("rank(b) differs from rank(c)")
     return B, Cr
 
@@ -246,22 +253,17 @@ def _bc_corner(a: RingValue, frame: CornerFrame) -> RingValue:
     p, q = frame.p, frame.q
     if ring.is_matrix:
         # Solve the stacked linear system for W in z = b*W*c:
-        #   z*(q*a*p) = p  and  (q*a*p)*z = q.
-        bP = frame.b.payload
-        cP = frame.c.payload
-        M = (q * a * p).payload
-        top = np.kron(bP, mat_mul(ring, cP, M).T)
-        bottom = np.kron(mat_mul(ring, M, bP), cP.T)
-        system = np.vstack([top, bottom])
-        if ring.kind == PRIME_MATRIX:
-            system = system % ring.p
-        rhs = np.concatenate([np.asarray(p.payload).reshape(-1),
-                              np.asarray(q.payload).reshape(-1)]).reshape(-1, 1)
-        sol = mat_solve(ring, system, rhs)
+        #   z*(q*a*p) = p  and  (q*a*p)*z = q,
+        # with vec(b*W*N) = kron(b, N^T) vec(W) for row-major vec.
+        b, c = frame.b, frame.c
+        M = q * a * p
+        top = mat_kron(ring, _raw(b), mat_transpose(ring, _raw(c * M)))
+        bottom = mat_kron(ring, _raw(M * b), mat_transpose(ring, _raw(c)))
+        rhs = mat_vstack(ring, mat_reshape(ring, _raw(p), 1), mat_reshape(ring, _raw(q), 1))
+        sol = mat_solve(ring, mat_vstack(ring, top, bottom), rhs)
         if sol is None:
             raise InverseAbsent("corner equations are inconsistent")
-        W = sol.reshape(ring.k, ring.k)
-        return frame.b * _wrap(ring, W) * frame.c
+        return b * _wrap(ring, mat_reshape(ring, sol, ring.k)) * c
     # Zn: z = b*w*c turns z*M = p into one linear congruence
     # (b*c*M)*w = p (mod n), solvable iff d = gcd(b*c*M, n) divides p; the
     # solutions form one class modulo n/d.  M*z = q is checked afterwards.
@@ -311,11 +313,9 @@ def build_v(frame: CornerFrame) -> RingValue:
             raise InverseAbsent("p differs from q: no carrier exists")
         return frame.p
     B, Cr = _frame_factors(frame)
-    if ring.kind == FLOAT_MATRIX:
-        return ring.element(B @ Cr)
-    if not Cr[0]:
+    if not _shape(Cr)[0]:
         return ring.zero()
-    return _ExactValue(ring, xla.form_mul(B, Cr, ring.p))
+    return _wrap(ring, mat_mul(ring, B, Cr))
 
 
 def group_inverse(x: RingValue) -> RingValue:
@@ -327,11 +327,14 @@ def group_inverse(x: RingValue) -> RingValue:
     """
     ring = x.ring
     if ring.is_matrix:
-        F, G = rank_factorization(x)
-        if F.shape[1] == 0:
+        # With x = F*G, x^# = F*(G*F)^{-2}*G.  On R the rank of G*F is
+        # judged against sigma_1(x), which bounds ||G||*||F|| = 1*sigma_1(x),
+        # so rounding noise in G*F does not pass for a singular value.
+        F, G = _factors(x)
+        if not _shape(G)[0]:
             return ring.zero()
-        core = mat_mul(ring, G, F)
-        core_inv = mat_inv(ring, core)
+        scale = _kept_svd(x)[1][0] if ring.kind == FLOAT_MATRIX else None
+        core_inv = mat_inv(ring, mat_mul(ring, G, F), scale)
         if core_inv is None:
             raise InverseAbsent("rank(x*x) < rank(x): no group inverse")
         out = mat_mul(ring, mat_mul(ring, F, mat_mul(ring, core_inv, core_inv)), G)
@@ -386,7 +389,7 @@ def _outer_inverse_matching(a: RingValue, b: RingValue, c: RingValue,
     c_kernel = ideal(c, "kernel-right")
     if ring.is_matrix:
         try:
-            y = ats_outer_inverse(a, ideal(b, "image-right").basis, c_kernel.basis)
+            y = _prescribed_outer_inverse(a, ideal(b, "image-right").basis, c_kernel.basis)
         except DimensionMismatch as exc:
             raise InverseAbsent(str(exc)) from exc
     else:
@@ -421,19 +424,24 @@ def ats_outer_inverse(A: RingValue, T, S) -> RingValue:
     S = np.asarray(S)
     if T.ndim != 2 or S.ndim != 2 or T.shape[0] != ring.k or S.shape[0] != ring.k:
         raise DimensionMismatch("basis matrices must have k rows")
-    t, s = T.shape[1], S.shape[1]
-    if mat_rank(ring, T) != t or mat_rank(ring, S) != s:
+    return _prescribed_outer_inverse(A, _as_raw(ring, T), _as_raw(ring, S))
+
+
+def _prescribed_outer_inverse(A: RingValue, T, S) -> RingValue:
+    """ats_outer_inverse for raw basis matrices T and S with k rows."""
+    ring = A.ring
+    t, s = _shape(T)[1], _shape(S)[1]
+    rank_t, norm_t = _rank_and_norm(ring, T)
+    if rank_t != t or mat_rank(ring, S) != s:
         raise DimensionMismatch("basis matrices must have full column rank")
     if t + s != ring.k:
         raise DimensionMismatch(
             f"dim T + dim S = {t}+{s} != {ring.k}: the direct sum cannot fill the space")
-    # Full-row-rank C with null space exactly span(S).
-    C = mat_null_basis(ring, S.T).T
-    mid = mat_mul(ring, mat_mul(ring, C, A.payload), T)
-    mid_inv = mat_inv(ring, mid)
-    if mid_inv is None:
-        raise InverseAbsent("A(T) does not complement S: singular core")
-    return _wrap(ring, mat_mul(ring, mat_mul(ring, T, mid_inv), C))
+    # Full-row-rank C with null space exactly span(S); on R its rows are
+    # orthonormal, so ||C*A*T|| <= ||A||*sigma_1(T).
+    C = mat_transpose(ring, mat_null_basis(ring, mat_transpose(ring, S)))
+    return _through_core(A, T, C, A.norm() * norm_t if ring.kind == FLOAT_MATRIX else None,
+                         "A(T) does not complement S: singular core")
 
 
 def unit_consistency(a: RingValue, frame: CornerFrame) -> bool:

@@ -12,13 +12,14 @@ functions, so anything here is safe to evaluate concurrently.  A matrix
 value keeps its spectral norm, and a float value its SVD, once computed:
 derived state of a read-only payload, which never goes stale.
 
-An exact matrix value (MFp, Q) holds the integer form of ``_exactla``:
-integer rows over one positive denominator.  Its products, sums,
-equality and key run on that form, without Fraction objects, and it keeps
-its rank factorization once computed, so the frame's inner inverses and
-the factor route eliminate b and c once.  Its payload, the read-only
-object array of Fractions (or ints in [0, p)), is built from the form on
-its first read.
+Each matrix backend has one raw-matrix format, which its values hold and
+the backend linear algebra (``mat_*``) takes and returns: float ndarrays on
+R; on MFp and Q the integer form of ``_exactla``, integer rows over one
+positive denominator.  Exact values compute on their forms without
+Fraction objects and keep their rank factorization once computed, so a
+job eliminates b and c once.  Fractions are built only at the public
+boundary: a payload (the read-only object array of Fractions, or ints in
+[0, p)), built on its first read, and ``rank_factorization``'s arrays.
 """
 
 from __future__ import annotations
@@ -158,11 +159,15 @@ class RingDescriptor:
         """Scalar embedded as value * identity (matrix backends)."""
         if self.kind == MODULAR:
             return self.element(value)
-        if self.kind == RATIONAL_MATRIX:
+        if self.kind == FLOAT_MATRIX:
+            return self._value(np.asarray(
+                [[value if i == j else 0 * value for j in range(self.k)] for i in range(self.k)]))
+        if self.kind == PRIME_MATRIX:
+            value = int(value)
+        elif type(value) is not int:
             value = Fraction(value)
-        return self._value(np.asarray(
-            [[value if i == j else 0 * value for j in range(self.k)] for i in range(self.k)],
-            dtype=object if self.kind == RATIONAL_MATRIX else None))
+        return self._exact([[value if i == j else 0 for j in range(self.k)]
+                            for i in range(self.k)])
 
     def _value(self, arr: np.ndarray) -> "RingValue":
         if arr.shape != (self.k, self.k):
@@ -172,11 +177,10 @@ class RingDescriptor:
         # numpy int64, which overflows silently, ends up in a product.  Only
         # the integer form is built here; ints enter it as they are.
         if self.kind == PRIME_MATRIX:
-            return _ExactValue(self, xla.form([[int(v) for v in row] for row in arr.tolist()],
-                                              self.p))
+            return self._exact([[int(v) for v in row] for row in arr.tolist()])
         if self.kind == RATIONAL_MATRIX:
-            return _ExactValue(self, xla.form(
-                [[v if type(v) is int else Fraction(v) for v in row] for row in arr.tolist()]))
+            return self._exact(
+                [[v if type(v) is int else Fraction(v) for v in row] for row in arr.tolist()])
         out = np.asarray(arr, dtype=np.float64).copy()
         if not np.isfinite(out).all():
             i, j = np.argwhere(~np.isfinite(out))[0]
@@ -186,18 +190,25 @@ class RingDescriptor:
         out.setflags(write=False)
         return RingValue(self, out)
 
+    def _exact(self, rows) -> "RingValue":
+        """MFp or Q value with the given entry rows (ints, or Fractions on Q)."""
+        return _ExactValue(self, xla.form(rows, self.p))
+
     def zero(self) -> "RingValue":
-        if self.kind == MODULAR:
-            return RingValue(self, 0)
-        return self.element(np.zeros((self.k, self.k)))
+        if self.kind == FLOAT_MATRIX:
+            return self.element(np.zeros((self.k, self.k)))
+        return RingValue(self, 0) if self.kind == MODULAR else self.scalar(0)
 
     def one(self) -> "RingValue":
-        if self.kind == MODULAR:
-            return RingValue(self, 1 % self.n)
-        return self.element(np.eye(self.k))
+        if self.kind == FLOAT_MATRIX:
+            return self.element(np.eye(self.k))
+        return RingValue(self, 1 % self.n) if self.kind == MODULAR else self.scalar(1)
 
     def unit_matrix(self, i: int, j: int) -> "RingValue":
         """Matrix unit with a single 1 in (zero-based) slot (i, j)."""
+        if self.kind != FLOAT_MATRIX:
+            return self._exact([[int(r == i and s == j) for s in range(self.k)]
+                                for r in range(self.k)])
         m = np.zeros((self.k, self.k))
         m[i, j] = 1.0
         return self.element(m)
@@ -209,7 +220,7 @@ class RingDescriptor:
                 yield RingValue(self, i)
         elif self.kind == PRIME_MATRIX:
             for digits in itertools.product(range(self.p), repeat=self.k * self.k):
-                yield self.element(np.array(digits).reshape(self.k, self.k))
+                yield _ExactValue(self, xla.form_reshape(((digits,), 1), self.k))
         else:
             raise CapExceeded(f"{self.name} cannot be enumerated")
 
@@ -389,7 +400,7 @@ class _ExactValue(RingValue):
         # Called only when a slot is unset: build the payload on its first read.
         if name != "payload":
             raise AttributeError(name)
-        out = _from_lists(xla.entries(self.form, self.ring.p), (self.ring.k, self.ring.k))
+        out = np.array(xla.entries(self.form, self.ring.p), dtype=object)
         out.setflags(write=False)
         self.payload = out
         return out
@@ -421,7 +432,8 @@ def is_idempotent(x: RingValue) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Backend linear algebra on raw rectangular arrays.
+# Backend linear algebra on raw rectangular matrices: float ndarrays on R,
+# integer forms of _exactla on MFp and Q.
 #
 # Exact matrix backends use the deterministic elimination kernel; the float
 # backend uses SVD with the usual numerical-rank threshold
@@ -436,29 +448,30 @@ def _field(ring: RingDescriptor) -> int:
     return ring.p
 
 
-def _to_lists(arr) -> list:
-    # tolist() yields native Python scalars (three-arg pow rejects np.int64).
-    return np.asarray(arr).tolist()
+def _raw(x: RingValue):
+    """The raw matrix a matrix value holds: its payload on R, its form on MFp and Q."""
+    return x.payload if x.ring.kind == FLOAT_MATRIX else x.form
 
 
-def _from_lists(rows, shape) -> np.ndarray:
-    if 0 in shape:
-        return np.empty(shape, dtype=object)
-    return np.array(rows, dtype=object)
+def _as_raw(ring: RingDescriptor, arr):
+    """The raw matrix holding an array of entries: float on R, its integer form on MFp and Q."""
+    arr = np.asarray(arr)
+    return arr.astype(float) if ring.kind == FLOAT_MATRIX else xla.form(arr.tolist(), ring.p)
 
 
-def _wrap(ring: RingDescriptor, arr: np.ndarray) -> RingValue:
-    """Ring value holding a fresh result of the backend linear algebra.
+def _shape(A) -> tuple[int, int]:
+    """(rows, columns) of a raw matrix; a form without rows reads as 0 x 0."""
+    if isinstance(A, np.ndarray):
+        return A.shape
+    rows = A[0]
+    return len(rows), len(rows[0]) if rows else 0
 
-    An exact result keeps only its integer form; its payload is rebuilt
-    from that on first read.
-    """
+
+def _wrap(ring: RingDescriptor, A) -> RingValue:
+    """Ring value holding a fresh k x k result of the backend linear algebra."""
     if ring.kind == FLOAT_MATRIX:
-        return ring.element(arr)
-    if arr.shape != (ring.k, ring.k):
-        raise DimensionMismatch(
-            f"expected a {ring.k}x{ring.k} matrix, got shape {arr.shape}")
-    return _ExactValue(ring, xla.form(arr.tolist(), ring.p))
+        return ring.element(A)
+    return _ExactValue(ring, A)
 
 
 def _spectral_norm(arr: np.ndarray) -> float:
@@ -490,7 +503,8 @@ def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = No
 
     The threshold is relative to scale, by default the largest singular
     value of arr; a caller whose arr is a product passes a bound on the
-    norms of its factors instead.
+    norms of its factors instead (Golub and Van Loan, Matrix Computations,
+    on numerical rank: rank is decided against the scale of the data).
     """
     if arr.size == 0:
         return 0
@@ -502,61 +516,71 @@ def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = No
     return int(np.sum(s > threshold))
 
 
-def mat_rank(ring: RingDescriptor, arr: np.ndarray) -> int:
+def _rank_and_norm(ring: RingDescriptor, A) -> tuple[int, float | None]:
+    """Rank of a raw matrix and, on R, its spectral norm from the same SVD (None on MFp, Q)."""
+    if ring.kind != FLOAT_MATRIX:
+        return xla.rank(A, _field(ring)), None
+    A = np.asarray(A, dtype=float)
+    s = np.linalg.svd(A, compute_uv=False) if A.size else np.zeros(1)
+    return _float_rank(ring, A, s), float(s[0])
+
+
+def mat_rank(ring: RingDescriptor, A) -> int:
+    return _rank_and_norm(ring, A)[0]
+
+
+def mat_mul(ring: RingDescriptor, A, B):
+    """A @ B for an inner dimension of at least one."""
     if ring.kind == FLOAT_MATRIX:
-        return _float_rank(ring, np.asarray(arr, dtype=float))
-    return xla.rank(_to_lists(arr), _field(ring))
+        return np.asarray(A) @ np.asarray(B)
+    return xla.form_mul(A, B, _field(ring))
 
 
-def mat_mul(ring: RingDescriptor, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A, B = np.asarray(A), np.asarray(B)
+def mat_transpose(ring: RingDescriptor, A):
+    return np.asarray(A).T if ring.kind == FLOAT_MATRIX else xla.form_transpose(A)
+
+
+def mat_hstack(ring: RingDescriptor, A, B):
+    return np.hstack([A, B]) if ring.kind == FLOAT_MATRIX else xla.form_hstack(A, B)
+
+
+def mat_vstack(ring: RingDescriptor, A, B):
+    return np.vstack([A, B]) if ring.kind == FLOAT_MATRIX else xla.form_vstack(A, B)
+
+
+def mat_kron(ring: RingDescriptor, A, B):
+    return np.kron(A, B) if ring.kind == FLOAT_MATRIX else xla.form_kron(A, B, _field(ring))
+
+
+def mat_reshape(ring: RingDescriptor, A, ncols: int):
+    return A.reshape(-1, ncols) if ring.kind == FLOAT_MATRIX else xla.form_reshape(A, ncols)
+
+
+def mat_null_basis(ring: RingDescriptor, A):
+    """Columns spanning {x : A @ x = 0}, for an A with k columns."""
     if ring.kind == FLOAT_MATRIX:
-        return A @ B
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"matmul: shapes {A.shape} and {B.shape} do not align")
-    shape = (A.shape[0], B.shape[1])
-    if A.shape[1] == 0:
-        return np.full(shape, Fraction(0) if ring.kind == RATIONAL_MATRIX else 0, dtype=object)
-    return _from_lists(xla.matmul(A.tolist(), B.tolist(), _field(ring)), shape)
-
-
-def mat_null_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
-    """Columns spanning {x : arr @ x = 0}."""
-    arr = np.asarray(arr)
-    if ring.kind == FLOAT_MATRIX:
-        arr = np.asarray(arr, dtype=float)
+        arr = np.asarray(A, dtype=float)
         if arr.size == 0:
             return np.eye(arr.shape[1])
         u, s, vh = np.linalg.svd(arr, full_matrices=True)
         r = _float_rank(ring, arr, s)
         return vh[r:].T.copy()
-    if arr.shape[0] == 0:
-        # No equations: every vector solves them.  (The list kernel cannot
-        # see the column count of a matrix without rows.)
-        n = arr.shape[1]
-        return _from_lists(xla.identity(n, _field(ring)), (n, n))
-    vecs = xla.null_space(_to_lists(arr), _field(ring))
-    return _from_lists(xla.transpose(vecs), (arr.shape[1], len(vecs)))
+    # A form without rows has lost its column count, which is k here.
+    return xla.null_space(A, ring.k, _field(ring))
 
 
-def mat_col_basis(ring: RingDescriptor, arr: np.ndarray) -> np.ndarray:
-    """Columns spanning the column space of arr."""
-    arr = np.asarray(arr)
+def mat_col_basis(ring: RingDescriptor, A):
+    """Columns spanning the column space of A."""
     if ring.kind == FLOAT_MATRIX:
-        arr = np.asarray(arr, dtype=float)
-        if arr.size == 0:
-            return np.empty((arr.shape[0], 0))
+        arr = np.asarray(A, dtype=float)
         u, s, vh = np.linalg.svd(arr, full_matrices=False)
         r = _float_rank(ring, arr, s)
         return u[:, :r].copy()
-    B, C = xla.rank_factorization(_to_lists(arr), _field(ring))
-    return _from_lists(B, (arr.shape[0], len(C)))
+    return xla.form_rank_factorization(A, _field(ring))[0]
 
 
-def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
+def mat_solve(ring: RingDescriptor, A, B):
     """Any solution X of A @ X = B, or None when inconsistent."""
-    A = np.asarray(A)
-    B = np.asarray(B)
     if ring.kind == FLOAT_MATRIX:
         A = np.asarray(A, dtype=float)
         B = np.asarray(B, dtype=float)
@@ -566,31 +590,20 @@ def mat_solve(ring: RingDescriptor, A: np.ndarray, B: np.ndarray):
         if resid > math.sqrt(ring.rank_tol) * scale:
             return None
         return X
-    X = xla.solve(_to_lists(A), _to_lists(B), _field(ring))
-    if X is None:
-        return None
-    return _from_lists(X, (A.shape[1], B.shape[1]))
+    return xla.solve(A, B, _field(ring))
 
 
-def mat_inv(ring: RingDescriptor, A: np.ndarray, scale: float | None = None):
+def mat_inv(ring: RingDescriptor, A, scale: float | None = None):
     """Inverse of a square raw matrix, or None when singular.
 
     scale is the float rank threshold's scale (see _float_rank).
     """
-    A = np.asarray(A)
-    if A.shape[0] != A.shape[1]:
-        raise DimensionMismatch("only square matrices can be inverted")
-    if A.shape[0] == 0:
-        return A.copy()
-    if ring.kind == FLOAT_MATRIX:
-        A = np.asarray(A, dtype=float)
-        if _float_rank(ring, A, scale=scale) < A.shape[0]:
-            return None
-        return np.linalg.inv(A)
-    inv = xla.inverse(_to_lists(A), _field(ring))
-    if inv is None:
+    if ring.kind != FLOAT_MATRIX:
+        return xla.form_inverse(A, _field(ring))
+    A = np.asarray(A, dtype=float)
+    if _float_rank(ring, A, scale=scale) < A.shape[0]:
         return None
-    return _from_lists(inv, A.shape)
+    return np.linalg.inv(A)
 
 
 # ---------------------------------------------------------------------------
@@ -613,7 +626,7 @@ def invert(x: RingValue) -> RingValue:
         if math.gcd(x.payload, ring.n) != 1:
             raise NotInvertible(f"{x.payload} is not a unit mod {ring.n}")
         return RingValue(ring, pow(x.payload, -1, ring.n))
-    inv = mat_inv(ring, x.payload)
+    inv = mat_inv(ring, _raw(x))
     if inv is None:
         raise NotInvertible("matrix is singular")
     return _wrap(ring, inv)
@@ -624,7 +637,7 @@ def is_right_invertible(x: RingValue) -> bool:
     ring = x.ring
     if ring.kind == MODULAR:
         return math.gcd(x.payload, ring.n) == 1
-    return mat_rank(ring, x.payload) == ring.k
+    return _shape(_factors(x)[1])[0] == ring.k
 
 
 # Zn is commutative and a square matrix with a right inverse has full rank,
@@ -633,7 +646,7 @@ is_left_invertible = is_right_invertible
 
 
 def rank_factorization(x: RingValue):
-    """x = B @ C with B full column rank, C full row rank, as raw arrays."""
+    """x = B @ C with B full column rank, C full row rank, as arrays (of Fractions on Q)."""
     ring = x.ring
     if not ring.is_matrix:
         raise PreconditionFailed("rank factorization needs a matrix backend")
@@ -641,8 +654,8 @@ def rank_factorization(x: RingValue):
         u, s, vh = _kept_svd(x)
         r = _float_rank(ring, x.payload, s)
         return u[:, :r] * s[:r], vh[:r].copy()
-    B, C = (xla.entries(F, ring.p) for F in _kept_factors(x))
-    return _from_lists(B, (ring.k, len(C))), _from_lists(C, (len(C), ring.k))
+    B, C = (np.array(xla.entries(F, ring.p), dtype=object) for F in _kept_factors(x))
+    return B.reshape(ring.k, -1), C.reshape(-1, ring.k)
 
 
 def _kept_factors(x: RingValue) -> tuple[tuple, tuple]:
@@ -651,6 +664,11 @@ def _kept_factors(x: RingValue) -> tuple[tuple, tuple]:
     if factors is None:
         factors = x._factors = xla.form_rank_factorization(x.form, x.ring.p)
     return factors
+
+
+def _factors(x: RingValue):
+    """Raw rank factorization (B, C) of a matrix value: arrays on R, the kept forms on MFp, Q."""
+    return rank_factorization(x) if x.ring.kind == FLOAT_MATRIX else _kept_factors(x)
 
 
 def canonical_inner_inverse(b: RingValue) -> RingValue:
@@ -702,11 +720,13 @@ class Ideal:
 
     Zn stores the divisor d of n that generates the ideal dR; matrix
     backends store a basis of the subspace that characterizes membership
-    (column space, row space, right null space or left null space).
+    (column space, row space, right null space or left null space), as the
+    columns of a raw matrix of the backend: a float array on R, an integer
+    form of _exactla on MFp and Q.
     """
 
     def __init__(self, ring: RingDescriptor, side: str,
-                 generator: int | None = None, basis: np.ndarray | None = None):
+                 generator: int | None = None, basis=None):
         if side not in _IDEAL_SIDES:
             raise ValueError(f"unknown ideal side {side!r}")
         self.ring = ring
@@ -717,7 +737,7 @@ class Ideal:
     def dim(self) -> int:
         if self.basis is None:
             raise PreconditionFailed("Zn ideal has no dimension")
-        return self.basis.shape[1]
+        return _shape(self.basis)[1]
 
     def contains(self, value: RingValue) -> bool:
         if value.ring != self.ring:
@@ -728,8 +748,7 @@ class Ideal:
         # sides) or of m^T (left sides) in the span of the stored basis.
         if self.side.endswith("left"):
             value = value.transpose()
-        cols = np.asarray(value.payload)
-        stacked = np.hstack([self.basis, cols]) if self.basis.size else cols
+        stacked = mat_hstack(self.ring, self.basis, _raw(value))
         return mat_rank(self.ring, stacked) == mat_rank(self.ring, self.basis)
 
     def _comparable(self, other: "Ideal") -> None:
@@ -742,7 +761,7 @@ class Ideal:
         self._comparable(other)
         if self.generator is not None:
             return self.generator % other.generator == 0
-        stacked = np.hstack([other.basis, self.basis])
+        stacked = mat_hstack(self.ring, other.basis, self.basis)
         return mat_rank(self.ring, stacked) == mat_rank(self.ring, other.basis)
 
     def __eq__(self, other):
@@ -770,13 +789,8 @@ def ideal(x: RingValue, side: str) -> Ideal:
         # are (n/d)R.  For divisors d, e of n, dR is inside eR iff e | d.
         d = math.gcd(x.payload, ring.n)
         return Ideal(ring, side, generator=d if side.startswith("image") else ring.n // d)
-    arr = np.asarray(x.payload)
-    if side == "image-right":
-        basis = mat_col_basis(ring, arr)
-    elif side == "image-left":
-        basis = mat_col_basis(ring, arr.T)
-    elif side == "kernel-right":
-        basis = mat_null_basis(ring, arr)
-    else:
-        basis = mat_null_basis(ring, arr.T)
+    arr = _raw(x)
+    if side.endswith("left"):
+        arr = mat_transpose(ring, arr)
+    basis = (mat_col_basis if side.startswith("image") else mat_null_basis)(ring, arr)
     return Ideal(ring, side, basis=basis)

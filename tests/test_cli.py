@@ -86,6 +86,16 @@ def test_compute_refuses_a_float_core_of_rounding_noise(capsys):
         assert "corner-rank" in report["diagnostic"]["message"], ring
 
 
+
+def test_verify_refuses_a_blown_up_candidate(capsys):
+    # The y that R:2 once returned for the job above: its residuals are
+    # tiny against ||y||*||a|| but right_eq equals ||c||, so the
+    # certificate, measured against b and c, refuses it.
+    job = ["--a", "[[2,3],[3,-3]]", "--b", "[[0,0],[6,0]]", "--c", "[[-2,-2],[2,2]]",
+           "--y", "[[0.0,0.0],[1592262918131443.2,1592262918131443.0]]"]
+    assert main(["verify", "--ring", "R:2", *job]) == STATUS_REFUTED
+    assert json.loads(capsys.readouterr().out)["verdicts"]["certified"] is False
+
 def test_lab_command_m2f2():
     job = JobSpec("lab", ring="M2F2", suite="equivalences")
     status, report = run(job)
