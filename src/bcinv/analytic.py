@@ -9,6 +9,14 @@ Everything here takes float-backend ring values; internal numerics run on
 the raw arrays with the spectral norm, which makes one-sided multiplication
 operators carry exactly the norm of their multiplier.
 
+What a job derives from (a, frame, v) is computed once and kept on the
+immutable values (see rings.RingValue): the certified inverse on a, the
+products a*v and v*a on v, their group inverses and eigenvalues on the
+products, and the bound's lambda-independent data on a*v.  A tolerance
+test takes the Frobenius norm first, with |x|_F / sqrt(k) <= |x| <= |x|_F
+in the direction that keeps the decision that of the spectral test, and an
+SVD only when that does not settle it; every reported norm is spectral.
+
 Only numpy is used: the matrix exponential behind the integral
 representation is a scaling-and-squaring Pade approximant written here.
 """
@@ -29,7 +37,14 @@ from .errors import (
     SpectralPreconditionFailed,
 )
 from .inverses import VERDICT_TOL, CornerFrame, bc_inverse, group_inverse
-from .rings import FLOAT_MATRIX, RingValue, _kept_svd, _spectral_norm
+from .rings import (
+    FLOAT_MATRIX,
+    RingValue,
+    _kept_eigvals,
+    _kept_products,
+    _kept_svd,
+    _spectral_norm,
+)
 
 AGREE_TOL = 1e-8
 
@@ -57,6 +72,21 @@ def _require_float(*values: RingValue) -> None:
             raise PreconditionFailed("analytic operations need the float backend")
 
 
+def _within(x: np.ndarray, floor: float, limit: Callable[[], float]) -> bool:
+    """Whether |x| <= limit() in the spectral norm, for a floor <= limit().
+
+    |x| <= |x|_F, so |x|_F <= floor settles it without an SVD; otherwise
+    the spectral norm decides, and limit() is evaluated only then.
+    """
+    return float(np.linalg.norm(x)) <= floor or _spectral_norm(x) <= limit()
+
+
+def _agree(left: np.ndarray, right: np.ndarray) -> bool:
+    """The two-sided check |left - right| <= AGREE_TOL (1 + |left|), spectral."""
+    floor = AGREE_TOL * (1.0 + np.linalg.norm(left) / math.sqrt(min(left.shape)))
+    return _within(left - right, floor, lambda: AGREE_TOL * (1.0 + _spectral_norm(left)))
+
+
 def _nonzero_eigs(ring, eigs: np.ndarray) -> np.ndarray:
     if eigs.size == 0:
         return eigs
@@ -75,7 +105,7 @@ class SpectralReport:
 def spectrum(x: RingValue) -> SpectralReport:
     """Eigenvalue data plus the group projection x*x^# when it exists."""
     _require_float(x)
-    eigs = np.linalg.eigvals(x.payload)
+    eigs = _kept_eigvals(x)
     order = np.lexsort((eigs.imag, eigs.real))
     eigs = eigs[order]
     radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
@@ -148,10 +178,9 @@ def integral_representation(a: RingValue, v: RingValue, tol: float = 1e-10) -> R
     nv = v.norm()
     if nv == 0.0:
         return ring.zero()
-    av = a.payload @ vP
-    va = vP @ a.payload
-    eigs = np.linalg.eigvals(av)
-    nz = _nonzero_eigs(ring, eigs)
+    av_value, va_value = _kept_products(a, v)
+    av, va = av_value.payload, va_value.payload
+    nz = _nonzero_eigs(ring, _kept_eigvals(av_value))
     if nz.size == 0:
         raise SpectralPreconditionFailed(
             "a*v has no nonzero spectrum but v is nonzero: the integrand cannot decay")
@@ -166,7 +195,7 @@ def integral_representation(a: RingValue, v: RingValue, tol: float = 1e-10) -> R
     T = max(T, 1.0 / rho)
     result = vP @ _truncated_integral(av, T)
     mirrored = _truncated_integral(va, T) @ vP
-    if _spectral_norm(result - mirrored) > AGREE_TOL * (1.0 + _spectral_norm(result)):
+    if not _agree(result, mirrored):
         raise ConvergenceFailure("left and right integral forms disagree")
     return ring.element(result)
 
@@ -203,7 +232,7 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     tail bound |beta| |(p - beta v a)^N v| / (1 - r) falls below tolerance;
     that test takes |(p - beta v a)^N v| as its Frobenius norm, an upper
     bound on the spectral one, so the sum stops only where the spectral
-    rule would.  r and the agreement check stay spectral.
+    rule would.  r stays spectral.
     The mirrored form sum v (p' - beta a v)^n, with p' the group projection
     of a*v, is summed the same way on transposes, with the same tail bound
     because v (p' - beta a v)^n = (p - beta v a)^n v, and must agree.
@@ -211,7 +240,7 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     _require_float(a, v)
     ring = a.ring
     vP = v.payload
-    va_value, av_value = v * a, a * v
+    av_value, va_value = _kept_products(a, v)
     va, av = va_value.payload, av_value.payload
     try:
         p_va = _group_projection(va_value)
@@ -226,7 +255,7 @@ def series_representation(a: RingValue, v: RingValue, beta: float) -> RingValue:
     scale = abs(beta) / (1.0 - ratio)
     left = beta * _doubling_sum(M, vP, scale)
     right = beta * _doubling_sum((p_av - beta * av).T, vP.T, scale).T
-    if _spectral_norm(left - right) > AGREE_TOL * (1.0 + _spectral_norm(left)):
+    if not _agree(left, right):
         raise ConvergenceFailure("left and right series forms disagree")
     return ring.element(left)
 
@@ -254,10 +283,10 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     found is within _BETA_GAP of that bound, once the bracket is four ulps
     wide, or after _BETA_EVALS evaluations, and returns the best point.
     The norm of the full k x k matrix p - beta v a at that point decides
-    the refusal.
+    the refusal; its Frobenius norm below 1 already excludes it.
     """
     _require_float(a, v)
-    va_value = v * a
+    va_value = _kept_products(a, v)[1]
     va = va_value.payload
     u, s, vh = _kept_svd(va_value)
     if s[0] == 0.0:
@@ -268,7 +297,7 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
         raise PreconditionFailed(f"v*a is not group invertible: {exc}")
     # the nonzero eigenvalues are the rank(p) = trace(p) largest in modulus
     r = round(float(np.trace(p_va)))
-    eigs = sorted(np.linalg.eigvals(va).tolist(), key=abs, reverse=True)
+    eigs = sorted(_kept_eigvals(va_value).tolist(), key=abs, reverse=True)
     ends = [2.0 * mu.real / abs(mu) ** 2 for mu in eigs[:r]]
     lo = max((min(e, 0.0) for e in ends), default=0.0)
     hi = min((max(e, 0.0) for e in ends), default=0.0)
@@ -276,7 +305,8 @@ def choose_beta(a: RingValue, v: RingValue) -> float:
     if hi > lo:
         pad = 1e-3 * (hi - lo)
         best = _slope_search(u[:, :r].T @ p_va @ vh[:r].T, s[:r], lo - pad, hi + pad)
-    if _spectral_norm(p_va - best * va) >= 1.0:
+    residual = p_va - best * va
+    if np.linalg.norm(residual) >= 1.0 and _spectral_norm(residual) >= 1.0:
         raise PreconditionFailed("no real coefficient makes the series contract")
     return best
 
@@ -345,17 +375,17 @@ def limit_representation(a: RingValue, v: RingValue,
     |difference|_F / (1 + |estimate|_F / sqrt(k)), so both stop rules stop
     only where the spectral rule would, and the blow-up test fires on
     |resolvent|_F / sqrt(k), so only on a spectral norm above its limit.
-    The first step's two-sided agreement check stays spectral.
+    The first step's two-sided agreement check decides as the spectral one.
     """
     _require_float(a, v)
     ring = a.ring
-    vP, aP = v.payload, a.payload
-    av = aP @ vP
-    va = vP @ aP
+    vP = v.payload
+    av_value, va_value = _kept_products(a, v)
+    av, va = av_value.payload, va_value.payload
     eye = np.eye(ring.k)
     root_k = math.sqrt(ring.k)
     nv = v.norm()
-    eigs = np.linalg.eigvals(av)
+    eigs = _kept_eigvals(av_value)
     nz = _nonzero_eigs(ring, eigs)
     if lambda0 is None:
         iso = float(np.min(np.abs(nz))) if nz.size else 1.0
@@ -378,9 +408,7 @@ def limit_representation(a: RingValue, v: RingValue,
         if not lams:
             # The two-sided identity holds at every admissible lambda; assert
             # it here where the resolvent is still well conditioned.
-            mirrored = np.linalg.solve(lam * eye + va, vP)
-            if (_spectral_norm(current - mirrored)
-                    > AGREE_TOL * (1.0 + _spectral_norm(current))):
+            if not _agree(current, np.linalg.solve(lam * eye + va, vP)):
                 raise ConvergenceFailure("left and right limit forms disagree")
         if np.linalg.norm(current) / root_k > _LIMIT_BLOWUP * (1.0 + nv):
             raise ConvergenceFailure("resolvent iterates diverge as lambda -> 0")
@@ -417,14 +445,17 @@ def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
     (1-q) w = 0 and y w = (v a)^#.
     inverse() gives y, the certified (b,c)-inverse of a in frame.  It is
     called once the group inverse exists, so a missing group inverse is
-    reported before a missing (b,c)-inverse.
+    reported before a missing (b,c)-inverse.  Both certificate tests hold
+    a residual to VERDICT_TOL (1 + |w| + |sharp|), Frobenius norms first.
     """
     left = side == "left"
+    av, va = _kept_products(a, v)
     try:
-        sharp = group_inverse(a * v if left else v * a).payload
+        sharp_value = group_inverse(av if left else va)
     except InverseAbsent as exc:
         name = "a*v" if left else "v*a"
         raise PreconditionFailed(f"{name} is not group invertible: {exc}")
+    sharp = sharp_value.payload
     one = np.eye(a.ring.k)
     y = inverse()
     if left:
@@ -438,11 +469,10 @@ def _multiplier(a: RingValue, v: RingValue, frame: CornerFrame,
         messages = ("right multiplier escapes the corner column space",
                     "right multiplier does not recover the group inverse")
     norm = _spectral_norm(w)
-    scale = 1.0 + norm + _spectral_norm(sharp)
-    if _spectral_norm(escape) > VERDICT_TOL * scale:
-        raise PreconditionFailed(messages[0])
-    if _spectral_norm(recovery) > VERDICT_TOL * scale:
-        raise PreconditionFailed(messages[1])
+    floor = VERDICT_TOL * (1.0 + norm + np.linalg.norm(sharp) / math.sqrt(a.ring.k))
+    for residual, message in zip((escape, recovery), messages):
+        if not _within(residual, floor, lambda: VERDICT_TOL * (1.0 + norm + sharp_value.norm())):
+            raise PreconditionFailed(message)
     return w, norm
 
 
@@ -486,9 +516,10 @@ class BoundReport:
 class _BoundData:
     """The lambda-independent part of perturbation_bound for one (a, v, frame).
 
-    norm_h is 0.0 for degenerate data (|a| |y| |H| = 0), and then nothing
-    after it is computed.  right_error is the message of the
-    PreconditionFailed that building the right multiplier raised; it is
+    It is kept on the product a*v, keyed by the identity of frame (see
+    _kept_bound_data).  norm_h is 0.0 for degenerate data (|a| |y| |H| = 0),
+    and then nothing after it is computed.  right_error is the message of
+    the PreconditionFailed that building the right multiplier raised; it is
     raised again only once the left side of a bound has passed.
     """
 
@@ -497,15 +528,12 @@ class _BoundData:
     norm_v: float
     norm_y: float
     norm_h: float
-    av: np.ndarray | None = None
-    va: np.ndarray | None = None
-    eigs: np.ndarray | None = None
     norm_av: float = 0.0
     norm_h_right: float | None = None
     right_error: str | None = None
 
 
-def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
+def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame, av: RingValue) -> _BoundData:
     y_value = bc_inverse(a, frame)
     y = y_value.payload
     na, nv, ny = a.norm(), v.norm(), y_value.norm()
@@ -514,33 +542,24 @@ def _bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
     _, nH = _multiplier(a, v, frame, lambda: y, "left")
     if nH == 0.0:
         return _BoundData(y, na, nv, ny, 0.0)
-    av = a.payload @ v.payload
     try:
         _, nHr = _multiplier(a, v, frame, lambda: y, "right")
         right_error = None
     except PreconditionFailed as exc:
         nHr, right_error = None, str(exc)
-    return _BoundData(y, na, nv, ny, nH, av=av, va=v.payload @ a.payload,
-                      eigs=np.linalg.eigvals(av), norm_av=_spectral_norm(av),
+    # |a v| from the SVD that the group inverse of a*v keeps
+    return _BoundData(y, na, nv, ny, nH, norm_av=float(_kept_svd(av)[1][0]),
                       norm_h_right=nHr, right_error=right_error)
 
 
-# The last (a, v, frame) that perturbation_bound prepared, and its data:
-# a lambda grid over the same objects solves and certifies once.  The key
-# is object identity; the entry holds the objects themselves, so their ids
-# cannot be reused while it lives, and they are immutable, so the data
-# cannot go stale.
-_last_bound: tuple[tuple[RingValue, RingValue, CornerFrame], _BoundData] | None = None
-
-
-def _cached_bound_data(a: RingValue, v: RingValue, frame: CornerFrame) -> _BoundData:
-    global _last_bound
-    entry = _last_bound
-    if entry is not None and all(s is t for s, t in zip(entry[0], (a, v, frame))):
-        return entry[1]
-    data = _bound_data(a, v, frame)
-    _last_bound = ((a, v, frame), data)
-    return data
+def _kept_bound_data(a: RingValue, v: RingValue,
+                     frame: CornerFrame) -> tuple[RingValue, RingValue, _BoundData]:
+    """a*v, v*a and the bound data, which a*v keeps, keyed by the identity of frame."""
+    av, va = _kept_products(a, v)
+    kept = getattr(av, "_bound", None)
+    if kept is None or kept[0] is not frame:
+        kept = av._bound = (frame, _bound_data(a, v, frame, av))
+    return av, va, kept[1]
 
 
 def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
@@ -549,17 +568,21 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
 
     Admissible: lam outside the spectrum of -(a v) with
     |lam| < 1 / (|a| |y|^2 |H|).  Degenerate data (|a| |y| |H| = 0) means
-    the deviation is identically zero and no bound is needed.  Repeated
-    calls on the same a, v and frame objects reuse the lambda-independent
-    data: the inverse, the norms, the multipliers and the spectrum of a v.
+    the deviation is identically zero and no bound is needed.  The
+    lambda-independent data (the inverse, the norms, both multiplier norms
+    and the spectrum of a v) is kept on the values a job shares: the
+    inverse on a, the rest on the product a*v that v keeps for a.  A
+    lambda grid over the same a, v and frame objects, and the
+    representations on the same a and v, compute it once; each further
+    lambda costs one solve and one spectral norm per side.
     """
     _require_float(a, v)
-    d = _cached_bound_data(a, v, frame)
+    av, va, d = _kept_bound_data(a, v, frame)
     na, nv, ny, nH = d.norm_a, d.norm_v, d.norm_y, d.norm_h
     if nH == 0.0:
         return BoundReport(lam, 0.0, 0.0, math.inf, na, nv, ny, 0.0,
                            0.0, 0.0, math.inf, 0.0)
-    eigs = d.eigs
+    eigs = _kept_eigvals(av)
     if not np.all(np.abs(lam + eigs) > 1e-12 * (1.0 + np.abs(eigs))):
         raise PreconditionFailed(f"lambda = {lam} lies in the spectrum of -(a v)")
     radius = 1.0 / (na * ny * ny * nH)
@@ -573,7 +596,7 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
                 / (1.0 - abs(lam) * na * ny * ny * norm_h))
 
     eye = np.eye(a.ring.k)
-    resolvent = np.linalg.solve((lam * eye + d.av).T, v.payload.T).T
+    resolvent = np.linalg.solve((lam * eye + av.payload).T, v.payload.T).T
     measured = _spectral_norm(d.y - resolvent)
     bound = side_bound(nH)
     # The resolvent solve carries backward error ~ eps |av| / |lambda|, which
@@ -589,7 +612,7 @@ def perturbation_bound(a: RingValue, v: RingValue, frame: CornerFrame,
     nHr = d.norm_h_right
     radius_r = math.inf if nHr == 0.0 else 1.0 / (na * ny * ny * nHr)
     if abs(lam) < radius_r:
-        resolvent_r = np.linalg.solve(lam * eye + d.va, v.payload)
+        resolvent_r = np.linalg.solve(lam * eye + va.payload, v.payload)
         measured_r = _spectral_norm(d.y - resolvent_r)
         bound_r = 0.0 if nHr == 0.0 else side_bound(nHr)
         if measured_r > bound_r * (1.0 + 1e-9) + noise:

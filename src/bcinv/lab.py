@@ -457,6 +457,14 @@ def verify_set_decomposition(ring: RingDescriptor,
     the perturbation check compares each class once over all (a, m) and
     masks the result by each key's complement.  Only the keys with findings
     are expanded back to the pairs (b, c) that share them.
+
+    The suite reads one inverse table of all n² pairs, taken first.  The
+    (b,c)-inverse is unique in every ring, so a table with two inverses for
+    some pair is no ring's, and the suite raises BcinvError on it, also for
+    a pair no statement reads; the loop sweeps of tests/lab_reference.py
+    build a pair's map only when a statement reads it, and report such a
+    fault as the counterexamples it causes elsewhere (tests/test_lab.py
+    pins both on Z9 with 3·0 = 1 planted).
     """
     t = RingTable(ring, size_cap)
     n, mul = t.n, t.mul
@@ -514,6 +522,10 @@ def verify_bott_duffin_section(ring: RingDescriptor,
     and then their sum is a^{-1} and satisfies the block equations.
     Part 2: for regular (b, c), the inverse map of the frame equals the
     inverse map of every realized idempotent frame (b*g, h*c).
+
+    Like verify_set_decomposition, the suite takes the inverse table of all
+    n² pairs first, and raises BcinvError on a table with two inverses for
+    some pair, also a pair no statement reads.
     """
     t = RingTable(ring, size_cap)
     n = t.n

@@ -9,8 +9,11 @@ Four concrete backends share one element type:
 
 Every value is immutable after construction and all operations are pure
 functions, so anything here is safe to evaluate concurrently.  A matrix
-value keeps its spectral norm, and a float value its SVD, once computed:
-derived state of a read-only payload, which never goes stale.
+value keeps its spectral norm, and a float value its SVD and eigenvalues,
+once computed; a value also keeps its group inverse, its certified
+(b,c)-inverse in the last frame, and its products with the last partner a
+(see RingValue): derived state of read-only payloads, which never goes
+stale.  There is no module-level cache.
 
 Each matrix backend has one raw-matrix format, which its values hold and
 the backend linear algebra (``mat_*``) takes and returns: float ndarrays on
@@ -235,10 +238,23 @@ def _distinct_names(first: RingDescriptor, second: RingDescriptor) -> tuple[str,
 class RingValue:
     """Immutable element of one concrete ring.
 
-    The slots _norm and _svd stay unset until norm() or a float
-    factorization first needs them (see _kept_svd), so constructing a value
-    does no extra work.  Two threads that fill one at once store equal
-    values, so the race is harmless.
+    Besides ring and payload, the slots hold derived state, unset until
+    first needed, so constructing a value does no extra work:
+
+    * _norm: the spectral norm (norm());
+    * _svd: a float value's full SVD (_kept_svd);
+    * _eigs: a float value's eigenvalues (_kept_eigvals);
+    * _sharp: the group inverse (inverses.group_inverse);
+    * _bc: (frame, y), the certified (b,c)-inverse of the default route in
+      that frame (inverses.bc_inverse);
+    * _products: (a, a*self, self*a) for the last a (_kept_products);
+    * _bound: (frame, data), perturbation_bound's lambda-independent data,
+      kept on a product a*v.
+
+    A keyed entry holds its key objects, so their ids cannot be reused while
+    it lives, and it is read only when its key is the very object asked for.
+    Two threads that fill a slot at once store equal values, or entries for
+    different keys of which the last one stays, so the race is harmless.
 
     MFp and Q values are _ExactValues: they keep the integer form of
     _exactla (integer rows over one denominator), on which their arithmetic,
@@ -247,7 +263,8 @@ class RingValue:
     form on its first read.
     """
 
-    __slots__ = ("ring", "payload", "_norm", "_svd")
+    __slots__ = ("ring", "payload", "_norm", "_svd", "_eigs", "_sharp", "_bc", "_products",
+                 "_bound")
 
     def __init__(self, ring: RingDescriptor, payload):
         self.ring = ring
@@ -495,6 +512,24 @@ def _kept_svd(x: RingValue) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             part.setflags(write=False)
         x._svd = usv
     return usv
+
+
+def _kept_eigvals(x: RingValue) -> np.ndarray:
+    """The eigenvalues of a float value, computed once and kept on it (read-only)."""
+    eigs = getattr(x, "_eigs", None)
+    if eigs is None:
+        eigs = np.linalg.eigvals(x.payload)
+        eigs.setflags(write=False)
+        x._eigs = eigs
+    return eigs
+
+
+def _kept_products(a: RingValue, v: RingValue) -> tuple[RingValue, RingValue]:
+    """(a*v, v*a), built once per a and kept on v, keyed by the identity of a."""
+    kept = getattr(v, "_products", None)
+    if kept is None or kept[0] is not a:
+        kept = v._products = (a, a * v, v * a)
+    return kept[1], kept[2]
 
 
 def _float_rank(ring: RingDescriptor, arr: np.ndarray, s: np.ndarray | None = None,

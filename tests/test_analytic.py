@@ -3,6 +3,9 @@
 
 import dataclasses
 import json
+import sys
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -29,8 +32,10 @@ from bcinv import (
     spectrum,
     verify_bc_inverse,
 )
+from bcinv import inverses
 from bcinv.analytic import _expm
 from bcinv.cli import main
+from bcinv.rings import _kept_products
 from helpers import hard_instances, random_frame_instance, rel_err
 
 R2 = RingDescriptor.float_matrices(2)
@@ -538,7 +543,7 @@ def test_cross_route_agreement_smoke():
 
 
 def _fresh(a, v, frame):
-    """Copies of (a, v, frame) with new identities, so no cached data applies."""
+    """Copies of (a, v, frame) with new identities, so no kept data applies."""
     ring = a.ring
     return (ring.element(a.payload), ring.element(v.payload),
             CornerFrame(frame.b, frame.c, frame.g, frame.h))
@@ -549,7 +554,7 @@ def _bits(report):
 
 
 def _assert_reuse_matches_fresh(a, v, frame, lams):
-    # Reused: one call prepares (a, v, frame), the rest hit the cache.  Each
+    # Reused: one call prepares (a, v, frame), the rest read the kept data.  Each
     # fresh call runs on new copies and prepares anew.
     reused = [_bits(perturbation_bound(a, v, frame, lam)) for lam in lams]
     assert reused == [_bits(perturbation_bound(*_fresh(a, v, frame), lam)) for lam in lams]
@@ -612,16 +617,17 @@ def test_corner_frame_is_frozen():
             setattr(FRAME_E11, name, R2.one())
 
 
-# np.linalg.svd calls of the pipeline below: 56 measured, 11 of them
-# choose_beta's slope search; the headroom allows for a few more search steps
-# under other rounding.  A golden-section choose_beta with spectral stop
-# tests in the loops, and no SVD kept on a value, took 159.
+# np.linalg.svd calls of the pipeline below: 34 measured, 11 of them
+# choose_beta's slope search; the headroom allows for a few more search
+# steps under other rounding.  A golden-section choose_beta with spectral
+# stop tests in the loops, and no SVD kept on a value, took 159.
 SVD_BUDGET = 64
 
 
-def test_float_pipeline_svd_budget(monkeypatch):
-    # One R:8 instance of the shape the float benchmark times, where the
-    # limit, series and integral all apply.
+def _float_pipeline_counts(monkeypatch) -> Counter:
+    """Calls one job of the float benchmark's shape makes, on an R:8 instance
+    where the limit, series and integral all apply: SVDs, eigvals, factor
+    route solves, certificates inside the library, and core inverses."""
     x, frame = _positive_instance(np.random.default_rng(73), 8)
     a, b, g = x.payload, frame.b.payload, frame.g.payload
 
@@ -636,19 +642,90 @@ def test_float_pipeline_svd_budget(monkeypatch):
     radius = 1.0 / (x.norm() * y.norm() ** 2 * nH)
     lams = [f * radius for f in (0.05, 0.25, 0.5, 0.75, 0.95)]
 
-    calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    counts = Counter()
+    for module, name, key in ((np.linalg, "svd", "svd"), (np.linalg, "eigvals", "eigvals"),
+                              (inverses, "_bc_factor", "factor"),
+                              (inverses, "verify_bc_inverse", "certificate"),
+                              (inverses, "mat_inv", "core")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, fn=fn, key=key, **kw: counts.update([key]) or fn(*a, **kw))
     x, frame = values()
     y = bc_inverse(x, frame)
-    assert verify_bc_inverse(x, frame, y).verdict
+    assert verify_bc_inverse(x, frame, y).verdict      # the caller's own certificate
     v = build_v(frame)
     for lam in lams:
         perturbation_bound(x, v, frame, lam)
     outputs = [limit_representation(x, v),
                series_representation(x, v, choose_beta(x, v)),
                integral_representation(x, v)]
-    count = len(calls)
     monkeypatch.undo()
     assert all(rel_err(out.payload, y.payload) <= 1e-6 for out in outputs)
-    assert count <= SVD_BUDGET
+    return counts
+
+
+def test_float_pipeline_svd_budget(monkeypatch):
+    assert _float_pipeline_counts(monkeypatch)["svd"] <= SVD_BUDGET
+
+
+def test_float_pipeline_solves_once(monkeypatch):
+    # The bound, the multipliers and the representations read the inverse,
+    # the products a*v and v*a, their group inverses and their eigenvalues
+    # that the job's values keep.
+    counts = _float_pipeline_counts(monkeypatch)
+    assert counts["factor"] == 1 and counts["certificate"] == 1
+    assert counts["eigvals"] <= 2
+    assert counts["core"] - counts["factor"] <= 2       # the group inverses of a*v, v*a
+
+
+def test_one_v_with_two_elements_gets_the_right_products():
+    a1, frame = _positive_instance(np.random.default_rng(74), 5)
+    a2 = 2.0 * a1
+    v = build_v(frame)
+    y1 = bc_inverse(a1, frame)
+    for a, want in ((a1, y1), (a2, 0.5 * y1), (a1, y1), (a2, 0.5 * y1)):
+        av, va = _kept_products(a, v)
+        assert np.array_equal(av.payload, a.payload @ v.payload)
+        assert np.array_equal(va.payload, v.payload @ a.payload)
+        assert rel_err(limit_representation(a, v).payload, want.payload) <= 1e-6
+        assert rel_err(integral_representation(a, v).payload, want.payload) <= 1e-6
+        _, nH = build_H(a, v, frame)
+        radius = 1.0 / (a.norm() * want.norm() ** 2 * nH)
+        _assert_reuse_matches_fresh(a, v, frame, [0.2 * radius, -0.6 * radius])
+
+
+def test_kept_state_is_consistent_across_threads():
+    # Threads share one a in two frames and one v with two elements, so
+    # the keyed entries on a and v change hands all the time; each call
+    # must still see the inverse and the products of its own key.
+    a1 = R2.element(np.diag([2.0, 4.0]))
+    a2 = 2.0 * a1
+    frames = [CornerFrame.from_idempotents(R2.unit_matrix(i, i), R2.unit_matrix(i, i))
+              for i in (0, 1)]
+    want = [np.diag([0.5, 0.0]), np.diag([0.0, 0.25])]
+    v = R2.element([[1.0, 2.0], [0.0, 1.0]])
+    errors = []
+
+    def work(seed):
+        for i in range(100):
+            j = (i + seed) % 2
+            a = (a1, a2)[j]
+            y = bc_inverse(a1, frames[j])
+            av, va = _kept_products(a, v)
+            if not (np.allclose(y.payload, want[j], rtol=0.0, atol=1e-15)
+                    and np.array_equal(av.payload, a.payload @ v.payload)
+                    and np.array_equal(va.payload, v.payload @ a.payload)):
+                errors.append((seed, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors

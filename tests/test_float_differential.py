@@ -28,10 +28,17 @@ R2 = RingDescriptor.float_matrices(2)
 NOISE_CORE_JOB = ([[2.0, 3.0], [3.0, -3.0]], [[0.0, 0.0], [6.0, 0.0]], [[-2.0, -2.0], [2.0, 2.0]])
 
 ROUTES = {
-    "bc_inverse": lambda a, b, c: bc_inverse(a, CornerFrame.make(b, c)),
-    "group_inverse": lambda a, b, c: group_inverse(a),
-    "hybrid_inverse": hybrid_inverse,
-    "annihilator_inverse": annihilator_inverse,
+    "bc_inverse": lambda a, b, c, frame: bc_inverse(a, frame),
+    "group_inverse": lambda a, b, c, frame: group_inverse(a),
+    "hybrid_inverse": lambda a, b, c, frame: hybrid_inverse(a, b, c),
+    "annihilator_inverse": lambda a, b, c, frame: annihilator_inverse(a, b, c),
+}
+
+# The cross-check methods run on every third trial, in the frame the default
+# route already solved: they must not read the inverse it keeps on a.
+CROSS_CHECKS = {
+    f"bc_inverse {method}": lambda a, b, c, frame, method=method: bc_inverse(a, frame, method)
+    for method in ("corner", "group")
 }
 
 
@@ -44,20 +51,29 @@ def _or_none(route, *args):
 
 def test_float_routes_agree_with_the_rationals_on_integer_instances():
     # 1,500 seeded trials at k = 2-4 with entries in [-2, 2]; b and c are
-    # products of integer k x r and r x k factors.
+    # products of integer k x r and r x k factors.  One frame per trial and
+    # backend serves every bc_inverse method.
     rng = np.random.default_rng(1)
     counts = Counter()
     worst = 0.0
-    for _ in range(1500):
+    for trial in range(1500):
         k = int(rng.integers(2, 5))
         r = int(rng.integers(1, k + 1))
         a = rng.integers(-2, 3, (k, k))
         b = rng.integers(-2, 3, (k, r)) @ rng.integers(-2, 3, (r, k))
         c = rng.integers(-2, 3, (k, r)) @ rng.integers(-2, 3, (r, k))
         rings = RingDescriptor.float_matrices(k), RingDescriptor.rational_matrices(k)
-        values = [[ring.element(m.tolist()) for m in (a, b, c)] for ring in rings]
-        for name, route in ROUTES.items():
+        values = []
+        for ring in rings:
+            x, bb, cc = (ring.element(m.tolist()) for m in (a, b, c))
+            values.append((x, bb, cc, CornerFrame.make(bb, cc)))
+        routes = dict(ROUTES, **(CROSS_CHECKS if trial % 3 == 0 else {}))
+        for name, route in routes.items():
             got, want = (_or_none(route, *vals) for vals in values)
+            if name == "group_inverse":
+                # spectrum's group projection exists exactly where a^# does
+                if (spectrum(values[0][0]).group_projection is None) != (want is None):
+                    counts["spectrum projection existence"] += 1
             if (got is None) != (want is None):
                 counts[f"{name} {'float' if want is None else 'exact'}-only"] += 1
             elif got is not None:

@@ -1,5 +1,6 @@
 """Generalized inverses: worked instances, method agreement, invariants."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -33,7 +34,7 @@ from bcinv import (
     unit_consistency,
     verify_bc_inverse,
 )
-from bcinv import _exactla
+from bcinv import _exactla, inverses
 from helpers import (
     m2f2_bc_inverse,
     m2f2_elements,
@@ -564,3 +565,53 @@ def test_exact_job_eliminates_b_and_c_once(monkeypatch):
     got = {"g": frame.g, "h": frame.h, "p": frame.p, "q": frame.q, "y": y}
     for name, rows in Q6_JOB_VALUES.items():
         assert got[name] == Q6.element([[Fraction(v) for v in row.split()] for row in rows]), name
+
+
+def _count_routes(monkeypatch) -> Counter:
+    calls = Counter()
+    for name in ("_bc_factor", "_bc_group", "_bc_corner", "_bc_exhaustive"):
+        route = getattr(inverses, name)
+        monkeypatch.setattr(inverses, name,
+                            lambda *args, route=route, name=name: calls.update([name])
+                            or route(*args))
+    return calls
+
+
+def test_default_route_keeps_its_inverse_per_frame(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    a = R2.element(np.diag([2.0, 4.0]))
+    first = CornerFrame.from_idempotents(R2.unit_matrix(0, 0), R2.unit_matrix(0, 0))
+    second = CornerFrame.from_idempotents(R2.unit_matrix(1, 1), R2.unit_matrix(1, 1))
+    y = bc_inverse(a, first)
+    assert bc_inverse(a, first) is y and calls["_bc_factor"] == 1
+    # the same a in a second frame solves again, and gets that frame's inverse
+    assert bc_inverse(a, second) == R2.element(np.diag([0.0, 0.25]))
+    assert calls["_bc_factor"] == 2
+    assert bc_inverse(a, first) == R2.element(np.diag([0.5, 0.0]))
+    # an equal frame that is another object is another key
+    bc_inverse(a, CornerFrame(first.b, first.c, first.g, first.h))
+    assert calls["_bc_factor"] == 4
+
+
+@pytest.mark.parametrize("ring", [R2, Z6, M2F2], ids=lambda r: r.name)
+def test_explicit_methods_run_their_own_route_beside_a_kept_inverse(monkeypatch, ring):
+    if ring.kind == "R":
+        a = ring.element(np.diag([2.0, 4.0]))
+        frame = CornerFrame.from_idempotents(ring.unit_matrix(0, 0), ring.unit_matrix(0, 0))
+        methods = ("factor", "group", "corner")
+    elif ring.kind == "Zn":
+        a, frame = ring.element(5), FOUR_FRAME
+        methods = ("group", "corner", "exhaustive")
+    else:
+        a = ring.element([[1, 1], [0, 1]])
+        frame = CornerFrame.make(ring.unit_matrix(0, 0), ring.unit_matrix(0, 0))
+        methods = ("factor", "group", "corner", "exhaustive")
+    calls = _count_routes(monkeypatch)
+    y = bc_inverse(a, frame)
+    default = dict(calls)
+    for method in methods:
+        assert bc_inverse(a, frame, method) == y
+        assert calls[f"_bc_{method}"] == default.get(f"_bc_{method}", 0) + 1, method
+    # an explicit call neither reads nor replaces the kept inverse
+    assert bc_inverse(a, frame) is y
+    assert sum(calls.values()) == sum(default.values()) + len(methods)

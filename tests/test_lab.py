@@ -319,3 +319,23 @@ def test_m2f3_suites_certify():
         assert report.examined == report.space
     counts = {k: v for k, v in reports[0].statements.items() if k.startswith("s")}
     assert len(counts) == 16 and len(set(counts.values())) == 1
+
+
+def test_a_duplicate_inverse_no_statement_reads_stops_the_array_suites(monkeypatch):
+    # 3 * 0 = 1 in Z9, planted after construction: only the pair (3, 0),
+    # whose b = 3 is not regular, has several (b,c)-inverses (of each unit
+    # a).  No
+    # statement of `sets` or `bottduffin` reads that pair, and the loop
+    # sweeps, which build a pair's inverse map only when a statement reads
+    # it, report the other consequences of the fault as counterexamples.
+    # The array suites take the inverse table of every pair first, and a
+    # table that breaks uniqueness of the inverse is no ring: they refuse it.
+    z9 = RingDescriptor.modular(9)
+    _plant(monkeypatch, 3, 0, 1, before=False)
+    expected = {verify_set_decomposition: 14, verify_bott_duffin_section: 12}
+    for suite, count in expected.items():
+        assert len(getattr(lab_reference, suite.__name__)(z9).counterexamples) == count
+        with pytest.raises(BcinvError, match="two distinct"):
+            suite(z9)
+    with pytest.raises(BcinvError, match="two distinct"):
+        bcinv.lab.RingTable(z9).bc_inverse_map(3, 0)
